@@ -17,18 +17,14 @@ object SmokeJob {
       .getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
 
-    val t0 = System.nanoTime()
     val p = Pipeline.get(spark, scale)
-    println(s"pipeline built in ${(System.nanoTime() - t0) / 1e9}%s s")
     println(s"recipes rows = ${p.recipes.count()}, phrases = ${p.phrases.count()}")
     val unmatched = repro.ingest.Aliaser.alias(spark, p.universe, p.phrases)
       .filter(org.apache.spark.sql.functions.col("ing_id") === -1).count()
     println(s"unmatched phrases = $unmatched")
 
-    val t1 = System.nanoTime()
     val rows = Experiments.foodPairing(p, nRand,
       regions = Vector("ITA", "USA", "SCND", "KOR", "AFR", "EE"))
-    println(s"pairing in ${(System.nanoTime() - t1) / 1e9} s")
     rows.foreach(r => println(f"${r.region}%-5s ${r.model}%-14s nsReal=${r.nsReal}%.3f nsRand=${r.nsRand}%.3f z=${r.z}%8.1f"))
     spark.stop()
   }

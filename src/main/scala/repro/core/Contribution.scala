@@ -21,24 +21,13 @@ object Contribution {
     * @param recipes    (region, recipe_id, ing_id)
     * @param pairShared (ing_a, ing_b, shared) — pairs absent ⇒ 0 shared
     * @return (region, ing_id, chi, ns_without, freq) where `chi` is the
-    *         percentage change and `freq` the ingredient's use count
+    *         percentage change and `freq` the number of scored recipes
+    *         using the ingredient; `ns_without` is null when no recipe
+    *         keeps 2 ingredients, and `chi` when either N_s is null or 0
     */
   def chi(spark: SparkSession, recipes: DataFrame, pairShared: DataFrame): DataFrame = {
-    val sizes = recipes.select("region", "recipe_id", "ing_id").distinct()
-      .groupBy("region", "recipe_id")
-      .agg(count(lit(1)).cast("int").as("n"))
-      .filter(col("n") >= 2)
-
-    val pairs = FoodPairing.recipePairs(recipes)
-      .join(broadcast(pairShared), Seq("ing_a", "ing_b"), "left")
-      .na.fill(0, Seq("shared"))
-
-    val recipeSums = pairs.groupBy("region", "recipe_id")
-      .agg(sum("shared").as("shared_sum"))
-
-    val scored = sizes.join(recipeSums, Seq("region", "recipe_id"), "left")
-      .na.fill(0, Seq("shared_sum"))
-      .withColumn("score", lit(2.0) * col("shared_sum") / (col("n") * (col("n") - 1)))
+    val pairs = FoodPairing.pairOverlaps(recipes, pairShared)
+    val scored = FoodPairing.scoredRecipes(recipes, pairs)
 
     // Per (recipe, member ingredient): sum of shared over pairs involving it.
     val directed = pairs.select(col("region"), col("recipe_id"),
@@ -68,10 +57,10 @@ object Contribution {
     ).withColumn("ns", col("total_score_sum") / col("n_recipes"))
 
     perRegionIng.join(regionTotals, Seq("region"))
-      .withColumn("ns_without",
-        (col("total_score_sum") - col("removed_score_sum") + col("adjusted_sum")) /
-          (col("n_recipes") - col("dropped_recipes")))
-      .withColumn("chi", lit(100.0) * (col("ns_without") - col("ns")) / col("ns"))
+      .withColumn("ns_without", try_divide(
+        col("total_score_sum") - col("removed_score_sum") + col("adjusted_sum"),
+        col("n_recipes") - col("dropped_recipes")))
+      .withColumn("chi", try_divide(lit(100.0) * (col("ns_without") - col("ns")), col("ns")))
       .select("region", "ing_id", "chi", "ns_without", "freq")
   }
 

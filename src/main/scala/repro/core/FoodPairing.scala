@@ -31,29 +31,42 @@ object FoodPairing {
       .filter(col("ing_a") < col("ing_b"))
   }
 
-  /** Per-recipe food pairing score N_s^R.
+  /** Within-recipe pairs with their overlap |F_a ∩ F_b|: `recipePairs`
+    * left-joined to the broadcast `pairShared`, absent pairs filled with 0.
     *
-    * @return (region, recipe_id, n, score); recipes with n < 2 are dropped
-    *         (the score is undefined for a single ingredient)
+    * @return (ing_a, ing_b, region, recipe_id, shared)
     */
-  def recipeScores(spark: SparkSession, recipes: DataFrame, pairShared: DataFrame): DataFrame = {
+  private[core] def pairOverlaps(recipes: DataFrame, pairShared: DataFrame): DataFrame =
+    recipePairs(recipes)
+      .join(broadcast(pairShared), Seq("ing_a", "ing_b"), "left")
+      .na.fill(0, Seq("shared"))
+
+  /** N_s^R per recipe from its pair overlaps.
+    *
+    * @param overlaps [[pairOverlaps]] of the same `recipes`
+    * @return (region, recipe_id, n, shared_sum, score); recipes with n < 2
+    *         are dropped (the score is undefined for a single ingredient)
+    */
+  private[core] def scoredRecipes(recipes: DataFrame, overlaps: DataFrame): DataFrame = {
     val sizes = recipes.select("region", "recipe_id", "ing_id").distinct()
       .groupBy("region", "recipe_id")
       .agg(count(lit(1)).cast("int").as("n"))
       .filter(col("n") >= 2)
-    val pairSums = recipePairs(recipes)
-      .join(broadcast(pairShared), Seq("ing_a", "ing_b"), "left")
-      .na.fill(0, Seq("shared"))
+    val pairSums = overlaps
       .groupBy("region", "recipe_id")
       .agg(sum("shared").as("shared_sum"))
     sizes
       .join(pairSums, Seq("region", "recipe_id"), "left")
       .na.fill(0, Seq("shared_sum"))
-      .select(
-        col("region"), col("recipe_id"), col("n"),
-        (lit(2.0) * col("shared_sum") / (col("n") * (col("n") - 1))).as("score"),
-      )
+      .withColumn("score", lit(2.0) * col("shared_sum") / (col("n") * (col("n") - 1)))
   }
+
+  /** Per-recipe food pairing score N_s^R.
+    *
+    * @return (region, recipe_id, n, score); recipes with n < 2 are dropped
+    */
+  def recipeScores(spark: SparkSession, recipes: DataFrame, pairShared: DataFrame): DataFrame =
+    scoredRecipes(recipes, pairOverlaps(recipes, pairShared)).drop("shared_sum")
 
   /** Cuisine-level aggregation: N_s^C, recipe-score stddev and count. */
   def cuisineScores(recipeScoresDf: DataFrame): DataFrame =

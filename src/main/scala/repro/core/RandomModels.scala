@@ -19,9 +19,9 @@ import org.apache.spark.sql.functions._
   *                    ∝ frequency within each category.
   *
   * Sampling runs on the driver (seeded, deterministic) from cuisine
-  * statistics collected via DataFrame aggregations; the sampled cuisine is
-  * returned as a DataFrame so it is scored by exactly the same Spark
-  * operator as the real cuisine ([[FoodPairing.recipeScores]]).
+  * statistics collected via DataFrame aggregations, and returns plain rows;
+  * callers turn them into a DataFrame so the sampled cuisine is scored by
+  * the same Spark operator as the real one ([[FoodPairing.recipeScores]]).
   */
 object RandomModels {
 
@@ -78,17 +78,9 @@ object RandomModels {
     )
   }
 
-  /** Generate `nRecipes` random recipes under `model` and return them as a
-    * (region, recipe_id, ing_id) DataFrame with region = "region@model".
+  /** Generate `nRecipes` random recipes under `model` as
+    * (region, recipe_id, ing_id) rows with region = "region@model".
     */
-  def sample(spark: SparkSession, prof: CuisineProfile, model: Model,
-             nRecipes: Int, seed: Long = 11L): DataFrame = {
-    import spark.implicits._
-    val rows = sampleRows(prof, model, nRecipes, seed)
-    rows.toDF("region", "recipe_id", "ing_id")
-  }
-
-  /** Driver-side sampling; exposed for tests. */
   def sampleRows(prof: CuisineProfile, model: Model, nRecipes: Int,
                  seed: Long = 11L): Vector[(String, Long, Int)] = {
     val rng = new Random(seed * 7919L + prof.region.hashCode * 31L + model.name.hashCode)
@@ -156,10 +148,10 @@ object RandomModels {
             val pick =
               if (model == Category) drawUniformIn(idx, excluded)
               else drawWeighted(catCumFreq(cat), idx, excluded)
-            // Category exhausted within this recipe → fall back to a
-            // uniform draw over the full set (keeps the size preserved).
-            val p = if (pick >= 0) pick else drawUniform(excluded)
-            excluded += p; chosen += p
+            // A template is one of the cuisine's own recipes, so it never
+            // asks for more ingredients of a category than the cuisine has.
+            require(pick >= 0, s"category '$cat' exhausted in ${prof.region} template $template")
+            excluded += pick; chosen += pick
           }
       }
       chosen.foreach(i => rows += ((label, r.toLong, prof.ingredients(i))))

@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Z-score of a cuisine's food pairing against a randomized model
   * (Methodology IV.B):
   *
@@ -13,32 +10,12 @@ import org.apache.spark.sql.functions._
   */
 object ZScore {
 
-  /** Plain-scalar form, used by tests and small harnesses. */
-  def z(nsReal: Double, nsRand: Double, sigmaRand: Double, nRand: Long): Double =
-    math.sqrt(nRand.toDouble) * (nsReal - nsRand) / sigmaRand
-
-  /** Join real cuisine scores with model cuisine scores.
-    *
-    * @param real  output of [[FoodPairing.cuisineScores]] over real cuisines
-    *              — (region, ns, sigma, n_recipes)
-    * @param models output of [[FoodPairing.cuisineScores]] over sampled
-    *              cuisines whose region label is "region@model"
-    * @return (region, model, ns_real, ns_rand, sigma_rand, n_rand,
-    *          delta_ns, z) — one row per (region, model)
+  /** Z for one (cuisine, null model); σ_rand must be positive, or Z is
+    * undefined (e.g. every random recipe scores the same).
     */
-  def zTable(real: DataFrame, models: DataFrame): DataFrame = {
-    val m = models.select(
-      split(col("region"), "@").getItem(0).as("region"),
-      split(col("region"), "@").getItem(1).as("model"),
-      col("ns").as("ns_rand"),
-      col("sigma").as("sigma_rand"),
-      col("n_recipes").as("n_rand"),
-    )
-    val r = real.select(col("region"), col("ns").as("ns_real"))
-    m.join(r, Seq("region"))
-      .withColumn("delta_ns", col("ns_real") - col("ns_rand"))
-      .withColumn("z", sqrt(col("n_rand")) * col("delta_ns") / col("sigma_rand"))
-      .select("region", "model", "ns_real", "ns_rand", "sigma_rand",
-              "n_rand", "delta_ns", "z")
+  def z(nsReal: Double, nsRand: Double, sigmaRand: Double, nRand: Long): Double = {
+    require(sigmaRand > 0,
+      s"Z is undefined for sigma_rand = $sigmaRand (n_rand = $nRand): the random recipe scores must vary")
+    math.sqrt(nRand.toDouble) * (nsReal - nsRand) / sigmaRand
   }
 }

@@ -81,6 +81,7 @@ object Experiments {
   def foodPairing(p: Pipeline, nRand: Int, seed: Long = 11L,
                   regions: Vector[String] = Table1Order): Vector[PairingRow] = {
     val spark = p.spark
+    import spark.implicits._
     val regional = regionalRecipes(p)
     val realNs: Map[String, Double] =
       FoodPairing.cuisineScores(FoodPairing.recipeScores(spark, regional, p.pairShared))
@@ -90,7 +91,8 @@ object Experiments {
     for (region <- regions) {
       val prof = RandomModels.profile(spark, region, regional, p.ingredients)
       for (model <- RandomModels.AllModels) {
-        val sampled = RandomModels.sample(spark, prof, model, nRand, seed)
+        val sampled = RandomModels.sampleRows(prof, model, nRand, seed)
+          .toDF("region", "recipe_id", "ing_id")
         val cs = FoodPairing.cuisineScores(
           FoodPairing.recipeScores(spark, sampled, p.pairShared)).collect()(0)
         val nsRand = cs.getDouble(1); val sigma = cs.getDouble(2); val n = cs.getLong(3)

@@ -3,11 +3,9 @@ package repro.flavor
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Spark DataFrame views of the flavor universe.
-  *
-  * Compound-ingredient profile pooling (Materials III.C) and the pairwise
-  * shared-molecule table are computed *in Spark* (explode + join +
-  * aggregate) and cross-checked against the driver-side universe in tests.
+/** Spark DataFrame views of the flavor universe. The pairwise
+  * shared-molecule table is computed *in Spark* (self-join + aggregate) and
+  * cross-checked against the driver-side universe in tests.
   */
 object FlavorTables {
 
@@ -19,36 +17,14 @@ object FlavorTables {
       .toDF("ing_id", "name", "category", "is_compound", "is_core")
   }
 
-  /** (ing_id, molecule) for basic ingredients only — the "raw FlavorDB". */
-  def basicProfiles(spark: SparkSession, u: FlavorUniverse): DataFrame = {
-    import spark.implicits._
-    u.ingredients
-      .filter(!_.isCompound)
-      .flatMap(i => i.profile.toSeq.map(m => (i.id, m)))
-      .toDF("ing_id", "molecule")
-  }
-
-  /** (compound_id, constituent_id) edges. */
-  def constituents(spark: SparkSession, u: FlavorUniverse): DataFrame = {
-    import spark.implicits._
-    u.ingredients
-      .filter(_.isCompound)
-      .flatMap(i => i.constituents.map(c => (i.id, c)))
-      .toDF("compound_id", "constituent_id")
-  }
-
-  /** Full profile table: basic profiles ∪ pooled compound profiles, the
-    * pooling done as a Spark join + distinct (paper: "the flavor profile
-    * was generated by creating a list of unique flavor molecules after
-    * pooling flavor molecules of its constituent ingredients").
+  /** (ing_id, molecule) for every ingredient; compound profiles are the
+    * pooled unions [[FlavorGen]] built (Materials III.C).
     */
   def profiles(spark: SparkSession, u: FlavorUniverse): DataFrame = {
-    val basic = basicProfiles(spark, u)
-    val pooled = constituents(spark, u)
-      .join(basic.withColumnRenamed("ing_id", "constituent_id"), "constituent_id")
-      .select(col("compound_id").as("ing_id"), col("molecule"))
-      .distinct()
-    basic.unionByName(pooled)
+    import spark.implicits._
+    u.ingredients
+      .flatMap(i => i.profile.toSeq.map(m => (i.id, m)))
+      .toDF("ing_id", "molecule")
   }
 
   /** Pairwise shared-molecule counts |F_i ∩ F_j| via a self-join on

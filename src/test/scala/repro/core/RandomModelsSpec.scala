@@ -146,12 +146,6 @@ class RandomModelsSpec extends AnyFunSuite with SparkSpec {
            s"category $cat top=$top bottom=$bottom")
   }
 
-  test("sample() wraps rows into the expected DataFrame schema") {
-    val df = RandomModels.sample(spark, prof, RandomModels.RandomUniform, 20)
-    assert(df.columns.toSeq == Seq("region", "recipe_id", "ing_id"))
-    assert(df.select("recipe_id").distinct().count() == 20)
-  }
-
   test("the number of generated recipes is exactly nRecipes for all models") {
     for (m <- RandomModels.AllModels) {
       val rows = RandomModels.sampleRows(prof, m, 123)

@@ -2,12 +2,8 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.SparkSpec
-
-/** Z-score arithmetic and the (region, model) join table. */
-class ZScoreSpec extends AnyFunSuite with SparkSpec {
-
-  import spark.implicits._
+/** Z-score arithmetic. */
+class ZScoreSpec extends AnyFunSuite {
 
   test("scalar z formula matches hand computation") {
     // Z = sqrt(n) (real - rand) / sigma = sqrt(10000) * 0.5 / 2 = 25
@@ -28,27 +24,11 @@ class ZScoreSpec extends AnyFunSuite with SparkSpec {
     assert(math.abs(z2 / z1 - 2.0) < 1e-12)
   }
 
-  test("zTable joins real and model scores per region and model") {
-    val real = Seq(("AFR", 2.5, 0.9, 100L), ("KOR", 1.0, 0.8, 50L))
-      .toDF("region", "ns", "sigma", "n_recipes")
-    val models = Seq(
-      ("AFR@random", 2.0, 2.0, 10000L),
-      ("AFR@frequency", 2.4, 1.0, 10000L),
-      ("KOR@random", 1.5, 1.0, 2500L),
-    ).toDF("region", "ns", "sigma", "n_recipes")
-    val rows = ZScore.zTable(real, models).collect()
-      .map(r => (r.getString(0), r.getString(1)) -> r.getDouble(7)).toMap
-    assert(math.abs(rows(("AFR", "random")) - 25.0) < 1e-9)
-    assert(math.abs(rows(("AFR", "frequency")) - 10.0) < 1e-9)
-    assert(math.abs(rows(("KOR", "random")) - (-25.0)) < 1e-9)
-    assert(rows.size == 3)
-  }
-
-  test("zTable exposes delta_ns") {
-    val real = Seq(("X", 2.5, 0.9, 10L)).toDF("region", "ns", "sigma", "n_recipes")
-    val models = Seq(("X@random", 2.0, 1.0, 100L)).toDF("region", "ns", "sigma", "n_recipes")
-    val r = ZScore.zTable(real, models).collect()(0)
-    assert(math.abs(r.getDouble(6) - 0.5) < 1e-12)
-    assert(r.getString(1) == "random")
+  test("z rejects a non-positive or NaN sigma_rand instead of returning Inf or NaN") {
+    // Every random recipe scoring the same gives sigma_rand = 0.
+    for (sigma <- Seq(0.0, -1.0, Double.NaN)) {
+      val e = intercept[IllegalArgumentException](ZScore.z(2.5, 2.0, sigma, 100))
+      assert(e.getMessage.contains("sigma_rand"))
+    }
   }
 }
