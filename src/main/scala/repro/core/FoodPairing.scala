@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
+import repro.stats.CuisineStats
+
 /** Food pairing scores (Methodology IV.B).
   *
   * For a recipe R with n ingredients,
@@ -48,10 +50,7 @@ object FoodPairing {
     *         are dropped (the score is undefined for a single ingredient)
     */
   private[core] def scoredRecipes(recipes: DataFrame, overlaps: DataFrame): DataFrame = {
-    val sizes = recipes.select("region", "recipe_id", "ing_id").distinct()
-      .groupBy("region", "recipe_id")
-      .agg(count(lit(1)).cast("int").as("n"))
-      .filter(col("n") >= 2)
+    val sizes = CuisineStats.recipeSizes(recipes).filter(col("n") >= 2)
     val pairSums = overlaps
       .groupBy("region", "recipe_id")
       .agg(sum("shared").as("shared_sum"))

@@ -8,15 +8,22 @@ import org.apache.spark.sql.functions._
 
 /** The four randomized-cuisine null models (Methodology IV.B).
   *
-  * Every model preserves the cuisine's exact ingredient set and resamples
-  * recipe sizes from the cuisine's empirical size distribution:
+  * Every model preserves the cuisine's exact ingredient set and takes each
+  * random recipe's shape from a template, one of the cuisine's own recipes
+  * picked uniformly. The four models are a 2×2 grid:
   *
-  *  - RandomUniform:  ingredients uniform over the cuisine's set;
-  *  - Frequency:      ingredients ∝ their frequency of use in the cuisine;
-  *  - Category:       a real recipe's category composition is preserved,
-  *                    ingredients drawn uniformly within each category;
-  *  - FrequencyCategory: category composition preserved, ingredients drawn
-  *                    ∝ frequency within each category.
+  * {{{
+  *   template fixes ↓ / draws →   uniform         ∝ frequency
+  *   the recipe size              RandomUniform   Frequency
+  *   the category multiset        Category        FrequencyCategory
+  * }}}
+  *
+  * A model that keeps the recipe size draws the template's size of
+  * ingredients from the whole cuisine; a model that keeps the category
+  * multiset draws one ingredient from each of the template's categories.
+  * Either way a draw is from a pool and without replacement within the
+  * recipe, uniform over the pool or in proportion to each ingredient's
+  * frequency of use in the cuisine.
   *
   * Sampling runs on the driver (seeded, deterministic) from cuisine
   * statistics collected via DataFrame aggregations, and returns plain rows;
@@ -25,11 +32,12 @@ import org.apache.spark.sql.functions._
   */
 object RandomModels {
 
-  sealed abstract class Model(val name: String)
-  case object RandomUniform     extends Model("random")
-  case object Frequency         extends Model("frequency")
-  case object Category          extends Model("category")
-  case object FrequencyCategory extends Model("freq_category")
+  sealed abstract class Model(val name: String, val byFrequency: Boolean,
+                              val keepsCategories: Boolean)
+  case object RandomUniform     extends Model("random", byFrequency = false, keepsCategories = false)
+  case object Frequency         extends Model("frequency", byFrequency = true, keepsCategories = false)
+  case object Category          extends Model("category", byFrequency = false, keepsCategories = true)
+  case object FrequencyCategory extends Model("freq_category", byFrequency = true, keepsCategories = true)
   val AllModels: Vector[Model] = Vector(RandomUniform, Frequency, Category, FrequencyCategory)
 
   /** Everything a sampler needs about one cuisine, extracted via Spark.
@@ -44,37 +52,37 @@ object RandomModels {
       recipeCategories: Array[Array[String]],
   )
 
+  /** Rejected draws after which a draw takes the pool's first free index. */
+  private val MaxRejections = 200
+
   /** Collect the per-cuisine statistics the models must preserve.
     *
     * @param recipes     (region, recipe_id, ing_id), any number of regions
     * @param ingredients (ing_id, category, ...) lookup table
     */
   def profile(spark: SparkSession, region: String, recipes: DataFrame,
-              ingredients: DataFrame): CuisineProfile = {
-    val rows = recipes.filter(col("region") === region)
+              ingredients: DataFrame): CuisineProfile =
+    profileOf(region, recipes.filter(col("region") === region)
       .select("recipe_id", "ing_id").distinct()
       .join(broadcast(ingredients.select("ing_id", "category")), "ing_id")
       .select("recipe_id", "ing_id", "category")
-      .collect()
+      .collect().toSeq
+      .map(r => (r.getLong(0), r.getInt(1), r.getString(2))))
 
-    val freq = mutable.HashMap.empty[Int, Long].withDefaultValue(0L)
-    val catOf = mutable.HashMap.empty[Int, String]
-    val byRecipe = mutable.HashMap.empty[Long, mutable.ArrayBuffer[(Int, String)]]
-    rows.foreach { r =>
-      val rid = r.getLong(0); val ing = r.getInt(1); val cat = r.getString(2)
-      freq(ing) += 1
-      catOf(ing) = cat
-      byRecipe.getOrElseUpdate(rid, mutable.ArrayBuffer.empty) += ((ing, cat))
-    }
-    val ings = freq.keys.toArray.sorted
-    val recipesArr = byRecipe.toArray.sortBy(_._1).map(_._2)
+  /** The profile of one cuisine from its distinct (recipe_id, ing_id,
+    * category) rows: ingredients sorted by id, recipes by id, and each
+    * recipe's categories in row order.
+    */
+  private[core] def profileOf(region: String, rows: Seq[(Long, Int, String)]): CuisineProfile = {
+    val byIngredient = rows.groupBy(_._2).toArray.sortBy(_._1)
+    val recipes = rows.groupBy(_._1).toArray.sortBy(_._1).map(_._2.map(_._3).toArray)
     CuisineProfile(
       region,
-      ings,
-      ings.map(freq),
-      ings.map(catOf),
-      recipesArr.map(_.size),
-      recipesArr.map(_.map(_._2).toArray),
+      byIngredient.map(_._1),
+      byIngredient.map(_._2.size.toLong),
+      byIngredient.map(_._2.head._3),
+      recipes.map(_.length),
+      recipes,
     )
   }
 
@@ -84,78 +92,49 @@ object RandomModels {
   def sampleRows(prof: CuisineProfile, model: Model, nRecipes: Int,
                  seed: Long = 11L): Vector[(String, Long, Int)] = {
     val rng = new Random(seed * 7919L + prof.region.hashCode * 31L + model.name.hashCode)
-    val n = prof.ingredients.length
     val label = s"${prof.region}@${model.name}"
 
-    val cumFreq = prof.frequencies.map(_.toDouble).scanLeft(0.0)(_ + _).tail
-    val catIdx: Map[String, Array[Int]] = {
-      val m = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
-      prof.ingredients.indices.foreach(i =>
-        m.getOrElseUpdate(prof.categories(i), mutable.ArrayBuffer.empty) += i)
-      m.view.mapValues(_.toArray).toMap
+    /** Indices into the profile's arrays, with their cumulative frequencies. */
+    final class Pool(val idx: Array[Int]) {
+      val cumFreq: Array[Double] = idx.map(prof.frequencies(_).toDouble).scanLeft(0.0)(_ + _).tail
     }
-    val catCumFreq: Map[String, Array[Double]] =
-      catIdx.view.mapValues(idx => idx.map(prof.frequencies(_).toDouble).scanLeft(0.0)(_ + _).tail).toMap
-    val allIdx = prof.ingredients.indices.toArray
+    val cuisine = new Pool(prof.ingredients.indices.toArray)
+    val byCategory = prof.ingredients.indices.toArray.groupBy(prof.categories(_))
+      .view.mapValues(new Pool(_)).toMap
+    // One pool per ingredient the template asks for. A template is one of
+    // the cuisine's own recipes, so no pool is asked for more ingredients
+    // than it holds.
+    val templates: Array[Array[Pool]] = prof.recipeSizes.indices.toArray.map { t =>
+      if (model.keepsCategories) prof.recipeCategories(t).map(byCategory)
+      else Array.fill(prof.recipeSizes(t))(cuisine)
+    }
 
-    def drawUniform(excluded: mutable.BitSet): Int = {
-      var i = rng.nextInt(n)
-      var guard = 0
-      while (excluded(i) && guard < 10 * n) { i = rng.nextInt(n); guard += 1 }
-      if (excluded(i)) allIdx.find(!excluded(_)).get else i
-    }
-    def drawWeighted(cum: Array[Double], idx: Array[Int], excluded: mutable.BitSet): Int = {
-      val total = cum(cum.length - 1)
-      var guard = 0
-      while (guard < 200) {
-        val t = rng.nextDouble() * total
-        var lo = 0; var hi = cum.length - 1
-        while (lo < hi) { val mid = (lo + hi) / 2; if (cum(mid) < t) lo = mid + 1 else hi = mid }
-        val pick = idx(lo)
-        if (!excluded(pick)) return pick
-        guard += 1
+    def draw(pool: Pool, excluded: mutable.BitSet): Int = {
+      var rejections = 0
+      while (rejections < MaxRejections) {
+        val k =
+          if (model.byFrequency) {
+            val cum = pool.cumFreq; val t = rng.nextDouble() * cum.last
+            var lo = 0; var hi = cum.length - 1
+            while (lo < hi) { val mid = (lo + hi) / 2; if (cum(mid) < t) lo = mid + 1 else hi = mid }
+            lo
+          } else rng.nextInt(pool.idx.length)
+        if (!excluded(pool.idx(k))) return pool.idx(k)
+        rejections += 1
       }
-      idx.find(!excluded(_)).getOrElse(-1)
-    }
-    def drawUniformIn(idx: Array[Int], excluded: mutable.BitSet): Int = {
-      var guard = 0
-      while (guard < 200) {
-        val pick = idx(rng.nextInt(idx.length))
-        if (!excluded(pick)) return pick
-        guard += 1
-      }
-      idx.find(!excluded(_)).getOrElse(-1)
+      val free = pool.idx.indexWhere(!excluded(_))
+      require(free >= 0, s"a template exhausted its ingredient pool in ${prof.region}")
+      pool.idx(free)
     }
 
     val rows = Vector.newBuilder[(String, Long, Int)]
-    var r = 0
-    while (r < nRecipes) {
-      val template = rng.nextInt(prof.recipeSizes.length)
+    for (r <- 0 until nRecipes) {
       val excluded = mutable.BitSet.empty
-      val chosen = mutable.ArrayBuffer.empty[Int]
-      model match {
-        case RandomUniform | Frequency =>
-          val size = math.min(prof.recipeSizes(template), n)
-          while (chosen.length < size) {
-            val pick =
-              if (model == RandomUniform) drawUniform(excluded)
-              else drawWeighted(cumFreq, allIdx, excluded)
-            excluded += pick; chosen += pick
-          }
-        case Category | FrequencyCategory =>
-          for (cat <- prof.recipeCategories(template)) {
-            val idx = catIdx(cat)
-            val pick =
-              if (model == Category) drawUniformIn(idx, excluded)
-              else drawWeighted(catCumFreq(cat), idx, excluded)
-            // A template is one of the cuisine's own recipes, so it never
-            // asks for more ingredients of a category than the cuisine has.
-            require(pick >= 0, s"category '$cat' exhausted in ${prof.region} template $template")
-            excluded += pick; chosen += pick
-          }
+      for (pool <- templates(rng.nextInt(templates.length))) {
+        val pick = draw(pool, excluded)
+        excluded += pick
+        rows += ((label, r.toLong, prof.ingredients(pick)))
       }
-      chosen.foreach(i => rows += ((label, r.toLong, prof.ingredients(i))))
-      r += 1
     }
     rows.result()
   }

@@ -11,8 +11,9 @@ import repro.ingest.Aliaser
 
 /** End-to-end data pipeline: flavor universe → synthetic corpus → raw
   * phrases → aliasing → the analysis-ready recipe table, plus the derived
-  * flavor tables. Instances are cached per (scale, seed) so every test
-  * suite and bench reuses the same cached DataFrames.
+  * flavor tables. Instances are cached per (session, scale, seed) so every
+  * test suite and bench reuses the same cached DataFrames, and a pipeline's
+  * frames always belong to the session that asked for them.
   */
 final case class Pipeline(
     spark: SparkSession,
@@ -33,12 +34,12 @@ final case class Pipeline(
 
 object Pipeline {
 
-  private val cache = mutable.HashMap.empty[(Double, Long), Pipeline]
+  private val cache = mutable.HashMap.empty[(SparkSession, Double, Long), Pipeline]
 
   /** Build (or fetch the cached) pipeline at a given corpus scale. */
   def get(spark: SparkSession, scale: Double = 1.0, seed: Long = 7L): Pipeline =
     cache.synchronized {
-      cache.getOrElseUpdate((scale, seed), build(spark, scale, seed))
+      cache.getOrElseUpdate((spark, scale, seed), build(spark, scale, seed))
     }
 
   def build(spark: SparkSession, scale: Double, seed: Long): Pipeline = {

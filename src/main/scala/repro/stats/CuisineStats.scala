@@ -34,15 +34,16 @@ object CuisineStats {
     * WORLD rows via [[withWorld]] first if an aggregate view is wanted.
     */
   def sizeDistribution(recipes: DataFrame): DataFrame =
-    recipes.select("region", "recipe_id", "ing_id").distinct()
-      .groupBy("region", "recipe_id").agg(count(lit(1)).cast("int").as("n"))
-      .groupBy("region", "n").agg(count(lit(1)).as("recipes_with_n"))
+    recipeSizes(recipes).groupBy("region", "n").agg(count(lit(1)).as("recipes_with_n"))
 
   /** Mean recipe size per region (paper: ≈ 9 across the world). */
   def meanRecipeSize(recipes: DataFrame): DataFrame =
+    recipeSizes(recipes).groupBy("region").agg(avg("n").as("mean_size"), max("n").as("max_size"))
+
+  /** Recipe size n, the number of distinct ingredients: (region, recipe_id, n). */
+  private[repro] def recipeSizes(recipes: DataFrame): DataFrame =
     recipes.select("region", "recipe_id", "ing_id").distinct()
       .groupBy("region", "recipe_id").agg(count(lit(1)).cast("int").as("n"))
-      .groupBy("region").agg(avg("n").as("mean_size"), max("n").as("max_size"))
 
   /** Ingredient popularity per region: frequency of use, popularity rank
     * and frequency normalized by the most popular ingredient (Fig 3b).

@@ -146,6 +146,43 @@ class RandomModelsSpec extends AnyFunSuite with SparkSpec {
            s"category $cat top=$top bottom=$bottom")
   }
 
+  test("sampleRows reproduces the pinned stream of every model") {
+    // Seeds must reproduce bit for bit, so these literals pin every model's
+    // RNG call order. Six ingredients in two categories, skewed frequencies,
+    // three templates.
+    val tiny = RandomModels.CuisineProfile(
+      region = "TST",
+      ingredients = Array(101, 102, 103, 201, 202, 203),
+      frequencies = Array(50L, 8L, 1L, 30L, 4L, 2L),
+      categories = Array("Spice", "Spice", "Spice", "Vegetable", "Vegetable", "Vegetable"),
+      recipeSizes = Array(2, 3, 4),
+      recipeCategories = Array(
+        Array("Spice", "Vegetable"),
+        Array("Vegetable", "Spice", "Spice"),
+        Array("Spice", "Vegetable", "Vegetable", "Vegetable")),
+    )
+    val pinned = Map[RandomModels.Model, Vector[Vector[Int]]](
+      RandomModels.RandomUniform -> Vector(Vector(103, 201), Vector(102, 201, 202),
+        Vector(103, 201, 102, 203), Vector(103, 203, 101, 102), Vector(101, 102, 203),
+        Vector(103, 203), Vector(102, 103, 203, 201), Vector(203, 201, 102, 202)),
+      RandomModels.Frequency -> Vector(Vector(101, 201, 203, 102), Vector(101, 201, 102),
+        Vector(101, 202), Vector(101, 201), Vector(101, 202, 102), Vector(101, 201, 203, 102),
+        Vector(101, 201), Vector(101, 102, 201, 203)),
+      RandomModels.Category -> Vector(Vector(101, 203), Vector(103, 203, 201, 202),
+        Vector(103, 203), Vector(101, 201, 202, 203), Vector(202, 101, 103), Vector(102, 203),
+        Vector(103, 201, 203, 202), Vector(201, 103, 102)),
+      RandomModels.FrequencyCategory -> Vector(Vector(101, 201, 202, 203), Vector(101, 201),
+        Vector(101, 201, 202, 203), Vector(101, 203), Vector(201, 102, 101), Vector(101, 201),
+        Vector(101, 201, 202, 203), Vector(201, 102, 101)),
+    )
+    for (m <- RandomModels.AllModels) {
+      val expected = pinned(m).zipWithIndex.flatMap { case (ings, r) =>
+        ings.map(i => (s"TST@${m.name}", r.toLong, i))
+      }
+      assert(RandomModels.sampleRows(tiny, m, 8, seed = 11L) == expected, m.name)
+    }
+  }
+
   test("the number of generated recipes is exactly nRecipes for all models") {
     for (m <- RandomModels.AllModels) {
       val rows = RandomModels.sampleRows(prof, m, 123)

@@ -17,6 +17,11 @@ class PipelineSpec extends AnyFunSuite with SparkSpec {
     assert(TestPipeline.get(spark) eq p)
   }
 
+  test("a pipeline belongs to the session that asked for it") {
+    val other = spark.newSession()
+    assert(Pipeline.get(other, TestPipeline.Scale).spark eq other)
+  }
+
   test("one phrase is generated per ground-truth ingredient slot") {
     val slots = p.groundTruth.map(_.ingredientIds.size.toLong).sum
     assert(p.phrases.count() == slots)
