@@ -11,8 +11,10 @@ import org.apache.spark.sql.functions._
   * Removing i from cuisine C means: every recipe containing i loses that
   * ingredient (its score is recomputed over the remaining n−1
   * ingredients); recipes left with fewer than 2 ingredients drop out of
-  * the cuisine average. The whole computation is a pair-level DataFrame
-  * aggregation — no per-ingredient rescans of the corpus.
+  * the cuisine average. [[chi]] is one pair-level DataFrame aggregation,
+  * with no per-ingredient rescans of the corpus. It is the reference for
+  * [[PairingKernel.chi]], which the artifacts use; [[topContributors]]
+  * ranks either's rows.
   */
 object Contribution {
 

@@ -11,10 +11,12 @@ import repro.stats.CuisineStats
   *   N_s^R = 2/(n(n−1)) · Σ_{i<j∈R} |F_i ∩ F_j|
   * and a cuisine's score N_s^C is the mean of N_s^R over its recipes.
   *
-  * All computations are DataFrame aggregations: within-recipe pair
+  * These are the DataFrame reference scorers: within-recipe pair
   * explosion via a self-join, overlap lookup via a (broadcast) left join
   * against the pairwise shared-molecule table, then per-recipe and
-  * per-cuisine aggregation.
+  * per-cuisine aggregation. The artifacts score on the Spark driver with
+  * [[PairingKernel]]; the tests hold it to these scorers, which the DuckDB
+  * oracle checks in turn.
   */
 object FoodPairing {
 

@@ -26,9 +26,10 @@ import org.apache.spark.sql.functions._
   * frequency of use in the cuisine.
   *
   * Sampling runs on the driver (seeded, deterministic) from cuisine
-  * statistics collected via DataFrame aggregations, and returns plain rows;
-  * callers turn them into a DataFrame so the sampled cuisine is scored by
-  * the same Spark operator as the real one ([[FoodPairing.recipeScores]]).
+  * statistics collected via DataFrame aggregations, and returns plain rows
+  * of the same (region, recipe_id, ing_id) shape as a real cuisine, so
+  * either scorer takes them: [[PairingKernel]] (grouped by
+  * [[PairingKernel.recipes]]) or, as a DataFrame, [[FoodPairing.recipeScores]].
   */
 object RandomModels {
 

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
-import repro.core.{Contribution, FoodPairing, RandomModels, ZScore}
+import repro.core.{Contribution, PairingKernel, RandomModels, ZScore}
 import repro.data.Regions
 import repro.pipeline.Pipeline
 import repro.stats.CuisineStats
@@ -75,33 +75,39 @@ object Experiments {
                               nsRand: Double, sigmaRand: Double, nRand: Long,
                               z: Double)
 
-  /** Compute Z for every (region, null model). Processes one sampled
-    * cuisine at a time so at most one n_rand-recipe model is materialized.
+  /** Compute Z for every (region, null model). One collect brings the
+    * requested regions' recipes to the Spark driver; the real and the sampled
+    * cuisines are scored there by [[PairingKernel]] over the universe's
+    * overlap matrix, one sampled cuisine at a time.
     */
   def foodPairing(p: Pipeline, nRand: Int, seed: Long = 11L,
                   regions: Vector[String] = Table1Order): Vector[PairingRow] = {
-    val spark = p.spark
-    import spark.implicits._
     val regional = regionalRecipes(p)
-    val realNs: Map[String, Double] =
-      FoodPairing.cuisineScores(FoodPairing.recipeScores(spark, regional, p.pairShared))
-        .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
+    val kernel = PairingKernel(p.universe)
+    val realNs: Map[String, Double] = for {
+      (region, rows) <- recipeRows(regional.filter(col("region").isin(regions: _*))).groupBy(_._1)
+      cs             <- kernel.cuisine(PairingKernel.recipes(rows))
+    } yield region -> cs.ns
 
     val out = Vector.newBuilder[PairingRow]
     for (region <- regions) {
-      val prof = RandomModels.profile(spark, region, regional, p.ingredients)
+      require(realNs.contains(region), s"region $region has no recipe with 2 ingredients")
+      val prof = RandomModels.profile(p.spark, region, regional, p.ingredients)
       for (model <- RandomModels.AllModels) {
-        val sampled = RandomModels.sampleRows(prof, model, nRand, seed)
-          .toDF("region", "recipe_id", "ing_id")
-        val cs = FoodPairing.cuisineScores(
-          FoodPairing.recipeScores(spark, sampled, p.pairShared)).collect()(0)
-        val nsRand = cs.getDouble(1); val sigma = cs.getDouble(2); val n = cs.getLong(3)
+        val cs = kernel.cuisine(PairingKernel.recipes(RandomModels.sampleRows(prof, model, nRand, seed)))
+        require(cs.isDefined, s"$region@${model.name}: no sampled recipe has 2 ingredients")
+        val PairingKernel.CuisineScore(nsRand, sigma, n) = cs.get
         out += PairingRow(region, model.name, realNs(region), nsRand, sigma, n,
                           ZScore.z(realNs(region), nsRand, sigma, n))
       }
     }
     out.result()
   }
+
+  /** (region, recipe_id, ing_id) rows, collected. */
+  private def recipeRows(recipes: DataFrame): Array[(String, Long, Int)] =
+    recipes.select("region", "recipe_id", "ing_id").collect()
+      .map(r => (r.getString(0), r.getLong(1), r.getInt(2)))
 
   /** Observed pairing sign per region from the Random-model Z. */
   def observedSigns(rows: Vector[PairingRow]): Map[String, Int] =
@@ -116,7 +122,12 @@ object Experiments {
   def topContributors(p: Pipeline, signs: Map[String, Int], k: Int = 3): Vector[ContributorRow] = {
     import p.spark.implicits._
     val signsDf = signs.toSeq.toDF("region", "sign")
-    val chi = Contribution.chi(p.spark, regionalRecipes(p), p.pairShared)
+    val kernel = PairingKernel(p.universe)
+    val chi = (for {
+      (region, rows) <- recipeRows(regionalRecipes(p)).groupBy(_._1).toSeq
+      c              <- kernel.chi(PairingKernel.recipes(rows))
+    } yield (region, c.ingId, c.chi, c.nsWithout, c.freq))
+      .toDF("region", "ing_id", "chi", "ns_without", "freq")
     val pop = CuisineStats.popularity(regionalRecipes(p))
       .select(col("region"), col("ing_id"), col("rank").as("pop_rank"))
     Contribution.topContributors(chi, signsDf, k)

@@ -8,19 +8,20 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
 
-/** ScalaCheck properties of the Spark scorers on random tiny corpora:
-  * `recipeScores` equals N_s^R computed by definition on the driver, and
+/** ScalaCheck properties of the scorers on random tiny corpora:
+  * `recipeScores` equals N_s^R computed by definition in plain Scala,
   * `Contribution.chi` equals actually removing each ingredient and
-  * re-scoring the cuisine on the driver.
+  * re-scoring the cuisine, and [[PairingKernel]] over a dense matrix built
+  * from the same overlaps gives both definitions too.
   */
 class ScoringPropertySpec extends AnyFunSuite with SparkSpec {
 
   import spark.implicits._
 
-  /** (region, recipe_id, ing_id) slots, duplicates allowed, and the nonzero
-    * overlaps |F_a ∩ F_b| keyed by (a, b) with a < b.
+  /** (region, recipe_id, ing_id) slots over ids [0, nIds), duplicates
+    * allowed, and the nonzero overlaps |F_a ∩ F_b| keyed by (a, b), a < b.
     */
-  private final case class Corpus(slots: Vector[(String, Long, Int)],
+  private final case class Corpus(nIds: Int, slots: Vector[(String, Long, Int)],
                                   shared: Map[(Int, Int), Int]) {
     def recipesDf: DataFrame = slots.toDF("region", "recipe_id", "ing_id")
     def sharedDf: DataFrame =
@@ -49,6 +50,30 @@ class ScoringPropertySpec extends AnyFunSuite with SparkSpec {
       val scores = recipes.flatMap(score)
       if (scores.isEmpty) None else Some(scores.sum / scores.size)
     }
+
+    /** (chi, ns_without, freq) per (region, ingredient) by removal: one row
+      * per ingredient of a scored recipe; removal re-scores every recipe,
+      * dropping those left with fewer than 2 ingredients.
+      */
+    def chi: Map[(String, Int), (Option[Double], Option[Double], Long)] =
+      (for {
+        (region, byId) <- regions
+        recipes         = byId.values.toVector
+        scored          = recipes.filter(_.size >= 2)
+        ns              = this.ns(recipes)
+        ing            <- scored.flatten.distinct
+      } yield {
+        val nsWithout = this.ns(recipes.map(_ - ing))
+        val chi = for (w <- nsWithout; n <- ns if n != 0) yield 100.0 * (w - n) / n
+        (region, ing) -> ((chi, nsWithout, scored.count(_(ing)).toLong))
+      }).toMap
+
+    /** The kernel over the dense symmetric matrix of `shared`. */
+    def kernel: PairingKernel = {
+      val m = new Array[Int](nIds * nIds)
+      for (((a, b), w) <- shared) { m(a * nIds + b) = w; m(b * nIds + a) = w }
+      new PairingKernel(m, nIds)
+    }
   }
 
   private val corpus: Gen[Corpus] = for {
@@ -62,6 +87,7 @@ class ScoringPropertySpec extends AnyFunSuite with SparkSpec {
     pairs     = for (a <- 0 until nIds; b <- a + 1 until nIds) yield (a, b)
     weights  <- Gen.listOfN(pairs.size, Gen.frequency(1 -> Gen.const(0), 1 -> Gen.choose(1, 5)))
   } yield Corpus(
+    nIds,
     recipes.zipWithIndex.toVector.flatMap { case ((region, ings), id) =>
       ings.map(i => (region, id.toLong, i))
     },
@@ -70,6 +96,15 @@ class ScoringPropertySpec extends AnyFunSuite with SparkSpec {
 
   private def close(a: Double, b: Double): Boolean =
     math.abs(a - b) <= 1e-9 * math.max(1.0, math.abs(b))
+
+  private def sameOpt(a: Option[Double], b: Option[Double]): Boolean = (a, b) match {
+    case (Some(x), Some(y)) => close(x, y)
+    case _                  => a == b
+  }
+
+  private def sameChi(a: (Option[Double], Option[Double], Long),
+                      b: (Option[Double], Option[Double], Long)): Boolean =
+    sameOpt(a._1, b._1) && sameOpt(a._2, b._2) && a._3 == b._3
 
   /** Runs `prop` on 25 corpora from a fixed seed (one Spark collect each). */
   private def check(prop: Prop): Unit = {
@@ -109,26 +144,34 @@ class ScoringPropertySpec extends AnyFunSuite with SparkSpec {
         .map(r => (r.getString(0), r.getInt(1)) ->
           ((if (r.isNullAt(2)) None else Some(r.getDouble(2)),
             if (r.isNullAt(3)) None else Some(r.getDouble(3)), r.getLong(4)))).toMap
-      // One row per ingredient of a scored recipe; removal re-scores every
-      // recipe, dropping those left with fewer than 2 ingredients.
-      val expected = (for {
-        (region, byId) <- c.regions
-        recipes         = byId.values.toVector
-        scored          = recipes.filter(_.size >= 2)
-        ns              = c.ns(recipes)
-        ing            <- scored.flatten.distinct
-      } yield {
-        val nsWithout = c.ns(recipes.map(_ - ing))
-        val chi = for (w <- nsWithout; n <- ns if n != 0) yield 100.0 * (w - n) / n
-        (region, ing) -> ((chi, nsWithout, scored.count(_(ing)).toLong))
-      }).toMap
-      def sameOpt(a: Option[Double], b: Option[Double]) = (a, b) match {
-        case (Some(x), Some(y)) => close(x, y)
-        case _                  => a == b
+      mismatches(got, c.chi)(sameChi)
+    })
+  }
+
+  test("the kernel's N_s^R, N_s^C, sigma and chi equal their definitions") {
+    check(Prop.forAll(corpus) { c =>
+      val k = c.kernel
+      val recipes = c.slots.groupBy(_._1).map { case (region, rows) => region -> PairingKernel.recipes(rows) }
+      // A one-recipe cuisine scores N_s^R; None below 2 ingredients.
+      val perRecipe = for ((region, byId) <- c.regions; (id, ings) <- byId) yield
+        (region, id) -> (k.cuisine(Array(ings.toArray.sorted)).map(_.ns), c.score(ings))
+      val gotCuisine = recipes.flatMap { case (region, rs) =>
+        k.cuisine(rs).map(cs => region -> (cs.ns, cs.sigma, cs.nRecipes)) }
+      val expectedCuisine = c.regions.flatMap { case (region, byId) =>
+        val scores = byId.values.flatMap(c.score).toVector
+        Option.when(scores.nonEmpty) {
+          val mean = scores.sum / scores.size
+          region -> (mean, math.sqrt(scores.map(x => (x - mean) * (x - mean)).sum / scores.size),
+                     scores.size.toLong)
+        }
       }
-      mismatches(got, expected) { case ((c1, w1, f1), (c2, w2, f2)) =>
-        sameOpt(c1, c2) && sameOpt(w1, w2) && f1 == f2
-      }
+      val gotChi = for ((region, rs) <- recipes; x <- k.chi(rs)) yield
+        (region, x.ingId) -> ((x.chi, x.nsWithout, x.freq))
+      val badRecipes = perRecipe.filterNot { case (_, (g, e)) => sameOpt(g, e) }
+      (Prop(badRecipes.isEmpty) :| s"N_s^R: $badRecipes") &&
+        mismatches(gotCuisine, expectedCuisine) { case ((n1, s1, c1), (n2, s2, c2)) =>
+          close(n1, n2) && close(s1, s2) && c1 == c2 } &&
+        mismatches(gotChi, c.chi)(sameChi)
     })
   }
 }

@@ -1,5 +1,6 @@
 package repro.exp
 
+import org.apache.spark.sql.functions.col
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{SparkSpec, TestPipeline}
@@ -55,6 +56,50 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
              f"$region zRand=$zRand%.1f zCat=$zCat%.1f")
       assert(zCat * zRand > 0, s"$region: category model flipped the sign")
     }
+  }
+
+  test("foodPairing rejects a region with no scored recipes, naming it") {
+    val e = intercept[IllegalArgumentException](
+      Experiments.foodPairing(p, nRand = 10, regions = Vector("XYZ")))
+    assert(e.getMessage.contains("XYZ"))
+  }
+
+  test("random-model N_s^rand is within 4 SE of the exact mean pair overlap in all 22 regions") {
+    // Every pair of a Random-model recipe is a uniform distinct pair of the
+    // cuisine's ingredients, so E[N_s^rand] is their mean overlap W̄.
+    val ingredients = Experiments.regionalRecipes(p).select("region", "ing_id").distinct()
+      .collect().groupBy(_.getString(0)).map { case (region, rs) => region -> rs.map(_.getInt(1)) }
+    val rows = Experiments.foodPairing(p, nRand = 1000).filter(_.model == "random")
+    assert(rows.size == 22)
+    for (r <- rows) {
+      val ids = ingredients(r.region)
+      val pairs = for (a <- ids.indices; b <- a + 1 until ids.length) yield p.universe.sharedCount(ids(a), ids(b))
+      val wBar = pairs.map(_.toLong).sum.toDouble / pairs.size
+      val se = r.sigmaRand / math.sqrt(r.nRand.toDouble)
+      assert(math.abs(r.nsRand - wBar) < 4 * se, f"${r.region}: N_s^rand ${r.nsRand}%.4f, W̄ $wBar%.4f, SE $se%.4f")
+    }
+  }
+
+  test("foodPairing and topContributors do not depend on the shuffle partition count") {
+    // The recipes arrive hash-partitioned by recipe under each setting, so
+    // the order of the collected rows changes along with every shuffle.
+    def run(partitions: String) = {
+      val before = spark.conf.get("spark.sql.shuffle.partitions")
+      spark.conf.set("spark.sql.shuffle.partitions", partitions)
+      try {
+        val q = p.copy(recipes = p.recipes.repartition(col("recipe_id")))
+        val fig4 = Experiments.foodPairing(q, nRand = 200)
+        (fig4, Experiments.topContributors(q, Experiments.observedSigns(fig4)))
+      } finally spark.conf.set("spark.sql.shuffle.partitions", before)
+    }
+    val (fig4A, topA) = run("64")
+    val (fig4B, topB) = run("5")
+    assert(fig4A.map(r => (r.region, r.nsReal)) == fig4B.map(r => (r.region, r.nsReal)))
+    // The category models take each template's category order from Spark's
+    // row order (RandomModels.profileOf), so only these two cells compare.
+    val uniform = Set("random", "frequency")
+    assert(fig4A.filter(r => uniform(r.model)) == fig4B.filter(r => uniform(r.model)))
+    assert(topA == topB)
   }
 
   test("observedSigns extracts the sign of the random-model Z") {
