@@ -4,7 +4,6 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.flavor.FlavorGen
 import repro.pipeline.Pipeline
 
 /** Regenerates paper Fig 2 (as a table): ingredient-category composition
@@ -13,18 +12,13 @@ import repro.pipeline.Pipeline
 class CategoryCompositionBench extends AnyFunSuite with SparkSpec {
 
   private lazy val p = Pipeline.get(spark, scale = 1.0)
+  private lazy val rows = Experiments.categoryComposition(p)
   private lazy val shares: Map[String, Map[String, Double]] =
-    Experiments.categoryComposition(p)
-      .groupBy(_.region).view
+    rows.groupBy(_.region).view
       .mapValues(_.map(c => c.category -> c.share).toMap).toMap
 
   test("FIG 2 — category composition heatmap (tabulated)") {
-    val cats = FlavorGen.Categories
-    println("\n=== FIG 2: Compositions of recipes in terms of ingredient categories (% of slots) ===")
-    println(Experiments.fmtTable(
-      "Region" +: cats.map(_.take(9)),
-      (Experiments.Table1Order :+ "WORLD").map(reg =>
-        reg +: cats.map(c => f"${shares(reg).getOrElse(c, 0.0) * 100}%.1f"))))
+    println("\n" + Experiments.renderFig2(rows))
     assert(shares.size >= 23)
   }
 

@@ -25,12 +25,7 @@ class ContributionBench extends AnyFunSuite with SparkSpec {
   private lazy val rows = Experiments.topContributors(p, signs, k = 3)
 
   test("FIG 5 — top 3 contributing ingredients per region") {
-    println("\n=== FIG 5: top-3 ingredients contributing to the observed food pairing ===")
-    println(Experiments.fmtTable(
-      Seq("Region", "Sign", "Rank", "Ingredient", "Chi(%)", "Freq", "PopRank"),
-      rows.map(r => Seq(r.region, if (signs(r.region) > 0) "+" else "-",
-                        r.rank.toString, r.ingredient, f"${r.chi}%.3f",
-                        r.freq.toString, r.popularityRank.toString))))
+    println("\n" + Experiments.renderFig5(rows, signs))
     assert(rows.size == 22 * 3)
   }
 

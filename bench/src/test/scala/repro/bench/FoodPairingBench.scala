@@ -16,30 +16,16 @@ import repro.pipeline.Pipeline
   *  - the ingredient-frequency model reproduces the pairing pattern to a
   *    large extent; the category model does not.
   *
-  * nRand defaults to 20000 per model (paper: 100000) to bound bench time;
-  * override with REPRO_NRAND. Z scales with sqrt(nRand), signs/ordering
-  * are unaffected.
+  * Each null model draws the paper's 100,000 random recipes per cuisine.
   */
 class FoodPairingBench extends AnyFunSuite with SparkSpec {
 
-  private val nRand = sys.env.get("REPRO_NRAND").map(_.toInt).getOrElse(20000)
   private lazy val p = Pipeline.get(spark, scale = 1.0)
-  private lazy val rows = Experiments.foodPairing(p, nRand)
+  private lazy val rows = Experiments.foodPairing(p, Experiments.PaperNRand)
   private def byKey = rows.map(r => (r.region, r.model) -> r).toMap
 
   test("FIG 4 — food pairing Z-scores across 22 world regions") {
-    val k = byKey
-    println(s"\n=== FIG 4: food pairing Z-scores (nRand=$nRand; paper uses 100000) ===")
-    println(Experiments.fmtTable(
-      Seq("Region", "PaperSign", "Ns_real", "Ns_rand", "Z_random", "Z_frequency",
-          "Z_category", "Z_freq_cat"),
-      Experiments.Table1Order.map { reg =>
-        def z(m: String) = f"${k((reg, m)).z}%8.1f"
-        val paperSign = if (Regions.byCode(reg).zSign > 0) "+" else "-"
-        Seq(reg, paperSign, f"${k((reg, "random")).nsReal}%.3f",
-            f"${k((reg, "random")).nsRand}%.3f",
-            z("random"), z("frequency"), z("category"), z("freq_category"))
-      }))
+    println("\n" + Experiments.renderFig4(rows, Experiments.PaperNRand))
     assert(rows.size == 22 * 4)
   }
 

@@ -12,20 +12,13 @@ import repro.pipeline.Pipeline
 class SizePopularityBench extends AnyFunSuite with SparkSpec {
 
   private lazy val p = Pipeline.get(spark, scale = 1.0)
+  private lazy val hist = Experiments.worldSizeHistogram(p)
+  private lazy val sizes = Experiments.meanSizes(p)
+  private lazy val slopes = Experiments.popularitySlopes(p)
 
   test("FIG 3a — recipe size distribution") {
-    val hist = Experiments.worldSizeHistogram(p)
+    println("\n" + Experiments.renderFig3(hist, sizes, slopes))
     val total = hist.map(_._2).sum.toDouble
-    println("\n=== FIG 3a: WORLD recipe-size distribution ===")
-    println(Experiments.fmtTable(
-      Seq("n", "recipes", "P(n)"),
-      hist.map { case (n, c) => Seq(n.toString, c.toString, f"${c / total}%.4f") }))
-
-    val sizes = Experiments.meanSizes(p)
-    println(Experiments.fmtTable(
-      Seq("Region", "MeanSize", "MaxSize"),
-      sizes.sortBy(_.region).map(s => Seq(s.region, f"${s.meanSize}%.2f", s.maxSize.toString))))
-
     val world = sizes.find(_.region == "WORLD").get
     assert(world.meanSize > 8.3 && world.meanSize < 9.7,
            f"paper: average of nine ingredients per recipe; ours ${world.meanSize}%.2f")
@@ -36,11 +29,6 @@ class SizePopularityBench extends AnyFunSuite with SparkSpec {
   }
 
   test("FIG 3b — ingredient popularity scaling is consistent across cuisines") {
-    val slopes = Experiments.popularitySlopes(p).sortBy(_._1)
-    println("\n=== FIG 3b: popularity rank-frequency log-log slope per region ===")
-    println(Experiments.fmtTable(
-      Seq("Region", "Slope"),
-      slopes.map { case (r, s) => Seq(r, f"$s%.3f") }))
     val vals = slopes.map(_._2)
     assert(vals.forall(s => s < -0.3 && s > -2.5))
     assert(vals.max - vals.min < 1.0,

@@ -14,17 +14,7 @@ class Table1Bench extends AnyFunSuite with SparkSpec {
 
   test("TABLE 1 — recipes and ingredients across world cuisines") {
     val rows = Experiments.table1(p)
-    println("\n=== TABLE 1: Statistics of recipes and ingredients across world cuisines ===")
-    println(Experiments.fmtTable(
-      Seq("Region", "Recipes(paper)", "Recipes(ours)", "Ingredients(paper)", "Ingredients(ours)"),
-      rows.map { r =>
-        val paper = Regions.byCode.get(r.region)
-        Seq(r.region,
-            paper.map(_.recipes.toString).getOrElse("45772"),
-            r.recipes.toString,
-            paper.map(_.ingredients.toString).getOrElse("-"),
-            r.ingredients.toString)
-      }))
+    println("\n" + Experiments.renderTable1(rows))
 
     for (spec <- Regions.all) {
       val got = rows.find(_.region == spec.code).get

@@ -5,12 +5,13 @@ import org.apache.spark.sql.functions._
 
 import repro.core.{Contribution, PairingKernel, RandomModels, ZScore}
 import repro.data.Regions
+import repro.flavor.FlavorGen
 import repro.pipeline.Pipeline
 import repro.stats.CuisineStats
 
-/** Harness logic shared by the spark-submit jobs (jobs/) and the bench
-  * suites (bench/): each paper table/figure has one entry point returning
-  * plain rows ready for printing and assertion.
+/** Harness logic shared by the spark-submit main (jobs/Reproduce) and the
+  * bench suites (bench/): each paper table/figure has one entry point
+  * returning plain rows for assertion, and one renderer that prints them.
   */
 object Experiments {
 
@@ -33,7 +34,10 @@ object Experiments {
     val rows = CuisineStats.table1(p.recipes).collect()
       .map(r => Table1Row(r.getString(0), r.getLong(1), r.getLong(2)))
       .map(t => t.region -> t).toMap
-    (Table1Order :+ CuisineStats.World).map(rows)
+    val order = Table1Order :+ CuisineStats.World
+    val missing = order.filterNot(rows.contains)
+    require(missing.isEmpty, s"Table 1 has no rows for ${missing.mkString(", ")}")
+    order.map(rows)
   }
 
   // ── Fig 2: category composition ────────────────────────────────────────
@@ -70,6 +74,9 @@ object Experiments {
       .toVector
 
   // ── Fig 4: food pairing Z-scores ──────────────────────────────────────
+
+  /** Random recipes per null model and cuisine (paper, Methodology IV.B). */
+  val PaperNRand: Int = 100000
 
   final case class PairingRow(region: String, model: String, nsReal: Double,
                               nsRand: Double, sigmaRand: Double, nRand: Long,
@@ -141,9 +148,75 @@ object Experiments {
       .sortBy(r => (r.region, r.rank))
   }
 
-  // ── formatting ────────────────────────────────────────────────────────
+  // ── rendering: one table per artifact ─────────────────────────────────
 
-  /** Fixed-width ASCII table (printed by jobs and benches). */
+  def renderTable1(rows: Vector[Table1Row]): String =
+    "=== TABLE 1: Statistics of recipes and ingredients across world cuisines ===\n" +
+    fmtTable(
+      Seq("Region", "Recipes(paper)", "Recipes(ours)", "Ingredients(paper)", "Ingredients(ours)"),
+      rows.map { r =>
+        val paper = Regions.byCode.get(r.region)
+        Seq(r.region, paper.fold(Regions.worldRecipes)(_.recipes).toString, r.recipes.toString,
+            paper.fold("-")(_.ingredients.toString), r.ingredients.toString)
+      })
+
+  def renderFig2(rows: Vector[CategoryRow]): String = {
+    val shares = rows.groupBy(_.region).view.mapValues(_.map(c => c.category -> c.share).toMap).toMap
+    val cats = FlavorGen.Categories
+    "=== FIG 2: Compositions of recipes in terms of ingredient categories (% of slots) ===\n" +
+    fmtTable(
+      "Region" +: cats.map(_.take(9)),
+      paperOrder(shares.contains).map(reg =>
+        reg +: cats.map(c => f"${shares(reg).getOrElse(c, 0.0) * 100}%.1f")))
+  }
+
+  def renderFig3(hist: Vector[(Int, Long)], sizes: Vector[SizeRow],
+                 slopes: Vector[(String, Double)]): String = {
+    val total = hist.map(_._2).sum.toDouble
+    val size = sizes.map(s => s.region -> s).toMap
+    val slope = slopes.toMap
+    Seq(
+      "=== FIG 3a: WORLD recipe-size distribution ===",
+      fmtTable(Seq("n", "recipes", "P(n)"),
+               hist.map { case (n, c) => Seq(n.toString, c.toString, f"${c / total}%.4f") }),
+      fmtTable(Seq("Region", "MeanSize", "MaxSize"),
+               paperOrder(size.contains).map(r => Seq(r, f"${size(r).meanSize}%.2f", size(r).maxSize.toString))),
+      "=== FIG 3b: popularity rank-frequency log-log slope per region ===",
+      fmtTable(Seq("Region", "Slope"), paperOrder(slope.contains).map(r => Seq(r, f"${slope(r)}%.3f"))),
+    ).mkString("\n")
+  }
+
+  /** Fig 4 for the regions `rows` covers; `nRand` is the number of random
+    * recipes each null model drew.
+    */
+  def renderFig4(rows: Vector[PairingRow], nRand: Int): String = {
+    val cell = rows.map(r => (r.region, r.model) -> r).toMap
+    val random = RandomModels.RandomUniform.name
+    s"=== FIG 4: food pairing Z-scores (n_rand = $nRand per null model) ===\n" +
+    fmtTable(
+      Seq("Region", "PaperSign", "Ns_real", "Ns_rand") ++ RandomModels.AllModels.map("Z_" + _.name),
+      paperOrder(reg => cell.contains((reg, random))).map { reg =>
+        Seq(reg, sign(Regions.byCode(reg).zSign), f"${cell((reg, random)).nsReal}%.3f",
+            f"${cell((reg, random)).nsRand}%.3f") ++
+          RandomModels.AllModels.map(m => f"${cell((reg, m.name)).z}%8.1f")
+      })
+  }
+
+  /** Fig 5 with the pairing sign per region that ranked the contributors. */
+  def renderFig5(rows: Vector[ContributorRow], signs: Map[String, Int]): String =
+    "=== FIG 5: top-3 ingredients contributing to the observed food pairing ===\n" +
+    fmtTable(
+      Seq("Region", "Sign", "Rank", "Ingredient", "Chi(%)", "Freq", "PopRank"),
+      rows.map(r => Seq(r.region, sign(signs(r.region)), r.rank.toString, r.ingredient,
+                        f"${r.chi}%.3f", r.freq.toString, r.popularityRank.toString)))
+
+  /** Table 1 order, then WORLD, keeping the regions that have rows. */
+  private def paperOrder(hasRows: String => Boolean): Vector[String] =
+    (Table1Order :+ CuisineStats.World).filter(hasRows)
+
+  private def sign(s: Int): String = if (s > 0) "+" else "-"
+
+  /** Fixed-width ASCII table (printed by every renderer). */
   def fmtTable(headers: Seq[String], rows: Seq[Seq[String]]): String = {
     val all = headers +: rows
     val widths = headers.indices.map(i => all.map(_(i).length).max)

@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions.col
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{SparkSpec, TestPipeline}
+import repro.core.RandomModels
 import repro.data.Regions
 
 /** Harness-level tests on the small-scale pipeline: the planted pairing
@@ -14,11 +15,22 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
   private lazy val p = TestPipeline.get(spark)
   private lazy val pairing =
     Experiments.foodPairing(p, nRand = 1500, regions = Vector("ITA", "AFR", "SCND", "JPN"))
+  private lazy val contributors =
+    Experiments.topContributors(p, Experiments.observedSigns(pairing), k = 3)
+  private lazy val table1 = Experiments.table1(p)
+  private lazy val composition = Experiments.categoryComposition(p)
+  private lazy val sizes = Experiments.meanSizes(p)
+  private lazy val hist = Experiments.worldSizeHistogram(p)
 
   test("table1 returns all 22 regions plus WORLD in paper order") {
-    val rows = Experiments.table1(p)
-    assert(rows.size == 23)
-    assert(rows.map(_.region) == Experiments.Table1Order :+ "WORLD")
+    assert(table1.size == 23)
+    assert(table1.map(_.region) == Experiments.Table1Order :+ "WORLD")
+  }
+
+  test("table1 rejects a corpus missing a region, naming it") {
+    val noKor = p.copy(recipes = p.recipes.filter(col("region") =!= "KOR"))
+    val e = intercept[IllegalArgumentException](Experiments.table1(noKor))
+    assert(e.getMessage.contains("KOR"))
   }
 
   test("foodPairing emits one row per (region, model)") {
@@ -109,37 +121,30 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("topContributors returns k rows per requested region") {
-    val signs = Experiments.observedSigns(pairing)
-    val rows = Experiments.topContributors(p, signs, k = 3)
-    for (region <- signs.keys)
-      assert(rows.count(_.region == region) == 3, region)
-    assert(rows.forall(r => r.rank >= 1 && r.rank <= 3))
+    for (region <- Experiments.observedSigns(pairing).keys)
+      assert(contributors.count(_.region == region) == 3, region)
+    assert(contributors.forall(r => r.rank >= 1 && r.rank <= 3))
   }
 
   test("top contributors are popular ingredients (the paper's key factor)") {
-    val signs = Experiments.observedSigns(pairing)
-    val rows = Experiments.topContributors(p, signs, k = 3)
     // Popularity drives pairing, so top contributors sit in the popular
     // half of the ranking.
-    for (r <- rows)
+    for (r <- contributors)
       assert(r.popularityRank <= 40, s"${r.region}/${r.ingredient} popRank=${r.popularityRank}")
   }
 
   test("meanSizes includes WORLD and stays near nine") {
-    val sizes = Experiments.meanSizes(p)
     val world = sizes.find(_.region == "WORLD")
     assert(world.isDefined)
     assert(world.get.meanSize > 7.5 && world.get.meanSize < 10.5)
   }
 
   test("worldSizeHistogram sums to the corpus size") {
-    val hist = Experiments.worldSizeHistogram(p)
     assert(hist.map(_._2).sum == p.groundTruth.size)
   }
 
   test("categoryComposition covers every region") {
-    val rows = Experiments.categoryComposition(p)
-    val regions = rows.map(_.region).toSet
+    val regions = composition.map(_.region).toSet
     assert(Experiments.Table1Order.forall(regions.contains))
     assert(regions.contains("WORLD"))
   }
@@ -150,5 +155,55 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     assert(lines.length == 4)
     assert(lines.map(_.length).distinct.length == 1)
     assert(lines(1).forall(c => c == '-' || c == '|'))
+  }
+
+  /** Each table of a rendered artifact as (header line, body lines). */
+  private def tablesOf(rendered: String): Vector[(String, Vector[String])] = {
+    val lines = rendered.split('\n').toVector
+    val seps = lines.indices.filter(i => lines(i).nonEmpty && lines(i).forall(c => c == '-' || c == '|'))
+    seps.zipWithIndex.map { case (sep, k) =>
+      val end = if (k + 1 < seps.size) seps(k + 1) - 1 else lines.size
+      lines(sep - 1) -> lines.slice(sep + 1, end).takeWhile(_.startsWith("|"))
+    }.toVector
+  }
+
+  private def firstCells(body: Vector[String]): Vector[String] = body.map(_.split('|')(1).trim)
+
+  private val regionsAndWorld = Experiments.Table1Order :+ "WORLD"
+
+  test("renderTable1 prints the paper's counts beside one line per region") {
+    val Vector((header, body)) = tablesOf(Experiments.renderTable1(table1))
+    assert(header.contains("Recipes(paper)") && header.contains("Ingredients(ours)"))
+    assert(firstCells(body) == regionsAndWorld)
+  }
+
+  test("renderFig2 prints one line per region and WORLD, not UNREG") {
+    val Vector((header, body)) = tablesOf(Experiments.renderFig2(composition))
+    assert(header.startsWith("| Region"))
+    assert(firstCells(body) == regionsAndWorld)
+  }
+
+  test("renderFig3 prints the size histogram with P(n), then sizes and slopes per region") {
+    val slopes = Experiments.popularitySlopes(p)
+    val Vector((hHist, bHist), (hSize, bSize), (hSlope, bSlope)) =
+      tablesOf(Experiments.renderFig3(hist, sizes, slopes))
+    assert(hHist.contains("P(n)") && firstCells(bHist) == hist.map(_._1.toString))
+    assert(hSize.contains("MeanSize") && firstCells(bSize) == regionsAndWorld)
+    assert(hSlope.contains("Slope") && firstCells(bSlope) == Experiments.Table1Order)
+  }
+
+  test("renderFig4 prints the paper sign and one Z per null model for each scored region") {
+    val Vector((header, body)) = tablesOf(Experiments.renderFig4(pairing, 1500))
+    assert(header.contains("PaperSign"))
+    for (m <- RandomModels.AllModels) assert(header.contains(s"Z_${m.name}"), m.name)
+    assert(firstCells(body) == Vector("AFR", "ITA", "JPN", "SCND"))
+  }
+
+  test("renderFig5 prints one line per contributor with its region's sign") {
+    val signs = Experiments.observedSigns(pairing)
+    val Vector((header, body)) = tablesOf(Experiments.renderFig5(contributors, signs))
+    assert(header.contains("Sign") && header.contains("PopRank"))
+    assert(firstCells(body) == contributors.map(_.region))
+    assert(body.map(_.split('|')(2).trim) == contributors.map(r => if (signs(r.region) > 0) "+" else "-"))
   }
 }
