@@ -3,11 +3,11 @@ package repro.exp
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
-import repro.core.{Contribution, PairingKernel, RandomModels, ZScore}
+import repro.core.{PairingKernel, RandomModels, ZScore}
 import repro.data.Regions
 import repro.flavor.FlavorGen
 import repro.pipeline.Pipeline
-import repro.stats.CuisineStats
+import repro.stats.{CorpusKernel, CuisineStats}
 
 /** Harness logic shared by the spark-submit main (jobs/Reproduce) and the
   * bench suites (bench/): each paper table/figure has one entry point
@@ -31,9 +31,7 @@ object Experiments {
   final case class Table1Row(region: String, recipes: Long, ingredients: Long)
 
   def table1(p: Pipeline): Vector[Table1Row] = {
-    val rows = CuisineStats.table1(p.recipes).collect()
-      .map(r => Table1Row(r.getString(0), r.getLong(1), r.getLong(2)))
-      .map(t => t.region -> t).toMap
+    val rows = corpus(p.recipes).table1.map { case (r, n, m) => r -> Table1Row(r, n, m) }.toMap
     val order = Table1Order :+ CuisineStats.World
     val missing = order.filterNot(rows.contains)
     require(missing.isEmpty, s"Table 1 has no rows for ${missing.mkString(", ")}")
@@ -45,33 +43,27 @@ object Experiments {
   final case class CategoryRow(region: String, category: String, share: Double)
 
   def categoryComposition(p: Pipeline): Vector[CategoryRow] =
-    CuisineStats.categoryComposition(p.recipes, p.ingredients).collect()
-      .map(r => CategoryRow(r.getString(0), r.getString(1), r.getDouble(3)))
-      .toVector
+    corpus(p.recipes).categoryComposition(id => p.universe.byId.get(id).map(_.category))
+      .map { case (r, c, share) => CategoryRow(r, c, share) }
 
   // ── Fig 3: recipe sizes and popularity ────────────────────────────────
 
   final case class SizeRow(region: String, meanSize: Double, maxSize: Int)
 
   def meanSizes(p: Pipeline): Vector[SizeRow] =
-    CuisineStats.meanRecipeSize(CuisineStats.withWorld(regionalRecipes(p)))
-      .collect()
-      .map(r => SizeRow(r.getString(0), r.getDouble(1), r.getInt(2)))
-      .toVector
+    corpus(p.recipes).meanSizes.map { case (r, mean, max) => SizeRow(r, mean, max) }
 
   def popularitySlopes(p: Pipeline): Vector[(String, Double)] =
-    CuisineStats.popularitySlope(regionalRecipes(p)).collect()
-      .map(r => (r.getString(0), r.getDouble(1)))
-      .toVector
+    corpus(p.recipes).popularitySlopes
 
   /** World recipe-size histogram (n → count). */
   def worldSizeHistogram(p: Pipeline): Vector[(Int, Long)] =
-    CuisineStats.sizeDistribution(
-      p.recipes.withColumn("region", lit(CuisineStats.World)))
-      .collect()
-      .map(r => (r.getInt(1), r.getLong(2)))
-      .sortBy(_._1)
-      .toVector
+    corpus(p.recipes).sizeHistogram
+
+  /** The collected recipe table; see [[CorpusKernel]] for what each
+    * statistic reads of it.
+    */
+  private def corpus(recipes: DataFrame): CorpusKernel = new CorpusKernel(recipeRows(recipes))
 
   // ── Fig 4: food pairing Z-scores ──────────────────────────────────────
 
@@ -127,25 +119,17 @@ object Experiments {
                                   chi: Double, freq: Long, popularityRank: Int)
 
   def topContributors(p: Pipeline, signs: Map[String, Int], k: Int = 3): Vector[ContributorRow] = {
-    import p.spark.implicits._
-    val signsDf = signs.toSeq.toDF("region", "sign")
+    val regional = corpus(regionalRecipes(p))
     val kernel = PairingKernel(p.universe)
-    val chi = (for {
-      (region, rows) <- recipeRows(regionalRecipes(p)).groupBy(_._1).toSeq
-      c              <- kernel.chi(PairingKernel.recipes(rows))
-    } yield (region, c.ingId, c.chi, c.nsWithout, c.freq))
-      .toDF("region", "ing_id", "chi", "ns_without", "freq")
-    val pop = CuisineStats.popularity(regionalRecipes(p))
-      .select(col("region"), col("ing_id"), col("rank").as("pop_rank"))
-    Contribution.topContributors(chi, signsDf, k)
-      .join(broadcast(p.ingredients.select("ing_id", "name")), "ing_id")
-      .join(pop, Seq("region", "ing_id"))
-      .select("region", "rank", "name", "chi", "freq", "pop_rank")
-      .collect()
-      .map(r => ContributorRow(r.getString(0), r.getInt(1), r.getString(2),
-                               r.getDouble(3), r.getLong(4), r.getInt(5)))
-      .toVector
-      .sortBy(r => (r.region, r.rank))
+    (for {
+      (region, recipes) <- regional.recipes.toVector if signs.contains(region)
+      popRank            = regional.popularity(region).map(q => q.ingId -> q.rank).toMap
+      (c, i)            <- CorpusKernel.top(kernel.chi(recipes), signs(region), k).zipWithIndex
+    } yield {
+      val name = p.universe.byId(c.ingId).name
+      require(c.chi.isDefined, s"$region: contributor $name has no chi")
+      ContributorRow(region, i + 1, name, c.chi.get, c.freq, popRank(c.ingId))
+    }).sortBy(r => (r.region, r.rank))
   }
 
   // ── rendering: one table per artifact ─────────────────────────────────

@@ -5,8 +5,10 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Corpus-level statistics of the recipe database (paper Table 1, Fig 2,
-  * Fig 3). All pure DataFrame aggregations over the aliased recipe table
-  * (region, recipe_id, ing_id).
+  * Fig 3) as DataFrame aggregations over the aliased recipe table
+  * (region, recipe_id, ing_id). The artifacts compute them on the driver
+  * with [[CorpusKernel]]; these definitions are its reference, which the
+  * tests and the DuckDB oracle check.
   */
 object CuisineStats {
 

@@ -1,18 +1,24 @@
 package repro.core
 
+import scala.util.{Failure, Success, Try}
+
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, lit}
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.SparkSpec
+import repro.stats.{CorpusKernel, CuisineStats}
 
 /** ScalaCheck properties of the scorers on random tiny corpora:
   * `recipeScores` equals N_s^R computed by definition in plain Scala,
   * `Contribution.chi` equals actually removing each ingredient and
   * re-scoring the cuisine, and [[PairingKernel]] over a dense matrix built
-  * from the same overlaps gives both definitions too.
+  * from the same overlaps gives both definitions too. On the same corpora
+  * plus an UNREG recipe, [[CorpusKernel]] equals the [[CuisineStats]]
+  * DataFrames.
   */
 class ScoringPropertySpec extends AnyFunSuite with SparkSpec {
 
@@ -172,6 +178,49 @@ class ScoringPropertySpec extends AnyFunSuite with SparkSpec {
         mismatches(gotCuisine, expectedCuisine) { case ((n1, s1, c1), (n2, s2, c2)) =>
           close(n1, n2) && close(s1, s2) && c1 == c2 } &&
         mismatches(gotChi, c.chi)(sameChi)
+    })
+  }
+
+  test("CorpusKernel equals the CuisineStats DataFrames on Table 1, Fig 2 and Fig 3") {
+    // Repeated slots count in Fig 2 only; the UNREG recipe counts in
+    // Table 1's WORLD row, Fig 2 and the histogram only; ingredient 0 has
+    // no category, so Fig 2 leaves its slots out.
+    val withUnreg = for (c <- corpus; ings <- Gen.nonEmptyListOf(Gen.choose(0, c.nIds - 1)))
+      yield c.copy(slots = c.slots ++ ings.map(i => (CuisineStats.Unregioned, 100L, i)))
+    val category = (id: Int) => Option.when(id > 0)(s"c${id % 3}")
+    check(Prop.forAll(withUnreg) { c =>
+      val all = c.recipesDf
+      val regional = all.filter(col("region") =!= CuisineStats.Unregioned)
+      val ingredients = (1 until c.nIds).map(i => (i, category(i).get)).toDF("ing_id", "category")
+      val k = new CorpusKernel(c.slots.toArray)
+
+      val table1 = CuisineStats.table1(all).collect().map(r => (r.getString(0), r.getLong(1), r.getLong(2)))
+      val fig2 = CuisineStats.categoryComposition(all, ingredients).collect()
+        .map(r => (r.getString(0), r.getString(1)) -> r.getDouble(3)).toMap
+      val sizes = CuisineStats.meanRecipeSize(CuisineStats.withWorld(regional)).collect()
+        .map(r => r.getString(0) -> (r.getDouble(1), r.getInt(2))).toMap
+      val popularity = CuisineStats.popularity(all).collect()
+        .map(r => (r.getString(0), r.getInt(1)) -> (r.getLong(2), r.getInt(3), r.getDouble(4))).toMap
+      val slopes = Try(CuisineStats.popularitySlope(regional).collect().map(r => r.getString(0) -> r.getDouble(1)).toMap)
+      val hist = CuisineStats.sizeDistribution(all.withColumn("region", lit(CuisineStats.World))).collect()
+        .map(r => r.getInt(1) -> r.getLong(2)).toMap
+
+      val gotPopularity = for (region <- k.recipes.keys; q <- k.popularity(region))
+        yield (region, q.ingId) -> (q.freq, q.rank, q.normFreq)
+      // A region of one distinct ingredient has no slope: both paths fail.
+      val slopesAgree = (Try(k.popularitySlopes.toMap), slopes) match {
+        case (Success(got), Success(expected))                => mismatches(got, expected)(close)
+        case (Failure(_: IllegalArgumentException), Failure(_)) => Prop.passed
+        case other                                            => Prop.falsified :| s"slopes: $other"
+      }
+      (Prop(k.table1.sorted == table1.toVector.sorted) :| s"table1: ${k.table1} vs ${table1.toVector}") &&
+        mismatches(k.categoryComposition(category).map(r => (r._1, r._2) -> r._3).toMap, fig2)(close) &&
+        mismatches(k.meanSizes.map(r => r._1 -> (r._2, r._3)).toMap, sizes) { case ((m1, x1), (m2, x2)) =>
+          close(m1, m2) && x1 == x2 } &&
+        mismatches(gotPopularity.toMap, popularity) { case ((f1, r1, n1), (f2, r2, n2)) =>
+          f1 == f2 && r1 == r2 && close(n1, n2) } &&
+        slopesAgree &&
+        (Prop(k.sizeHistogram.toMap == hist) :| s"histogram: ${k.sizeHistogram} vs $hist")
     })
   }
 }

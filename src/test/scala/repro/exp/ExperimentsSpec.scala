@@ -6,6 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.{SparkSpec, TestPipeline}
 import repro.core.RandomModels
 import repro.data.Regions
+import repro.pipeline.Pipeline
 
 /** Harness-level tests on the small-scale pipeline: the planted pairing
   * patterns must already be recoverable at reduced scale.
@@ -92,17 +93,21 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  /** `f` on the test corpus under `partitions` shuffle partitions. The
+    * recipes arrive hash-partitioned by recipe under each setting, so the
+    * order of the collected rows changes along with every shuffle.
+    */
+  private def withPartitions[A](partitions: String)(f: Pipeline => A): A = {
+    val before = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", partitions)
+    try f(p.copy(recipes = p.recipes.repartition(col("recipe_id"))))
+    finally spark.conf.set("spark.sql.shuffle.partitions", before)
+  }
+
   test("foodPairing and topContributors do not depend on the shuffle partition count") {
-    // The recipes arrive hash-partitioned by recipe under each setting, so
-    // the order of the collected rows changes along with every shuffle.
-    def run(partitions: String) = {
-      val before = spark.conf.get("spark.sql.shuffle.partitions")
-      spark.conf.set("spark.sql.shuffle.partitions", partitions)
-      try {
-        val q = p.copy(recipes = p.recipes.repartition(col("recipe_id")))
-        val fig4 = Experiments.foodPairing(q, nRand = 200)
-        (fig4, Experiments.topContributors(q, Experiments.observedSigns(fig4)))
-      } finally spark.conf.set("spark.sql.shuffle.partitions", before)
+    def run(partitions: String) = withPartitions(partitions) { q =>
+      val fig4 = Experiments.foodPairing(q, nRand = 200)
+      (fig4, Experiments.topContributors(q, Experiments.observedSigns(fig4)))
     }
     val (fig4A, topA) = run("64")
     val (fig4B, topB) = run("5")
@@ -112,6 +117,14 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     val uniform = Set("random", "frequency")
     assert(fig4A.filter(r => uniform(r.model)) == fig4B.filter(r => uniform(r.model)))
     assert(topA == topB)
+  }
+
+  test("the corpus statistics do not depend on the shuffle partition count") {
+    def run(partitions: String) = withPartitions(partitions) { q =>
+      (Experiments.table1(q), Experiments.categoryComposition(q), Experiments.meanSizes(q),
+       Experiments.popularitySlopes(q), Experiments.worldSizeHistogram(q))
+    }
+    assert(run("64") == run("5"))
   }
 
   test("observedSigns extracts the sign of the random-model Z") {
