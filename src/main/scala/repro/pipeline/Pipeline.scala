@@ -28,7 +28,9 @@ final case class Pipeline(
     ingredients: DataFrame,
     /** (ing_id, molecule) including pooled compound profiles. */
     profiles: DataFrame,
-    /** (ing_a, ing_b, shared) with ing_a < ing_b; zero-overlap pairs absent. */
+    /** (ing_a, ing_b, shared) with ing_a < ing_b; zero-overlap pairs absent.
+      * Read off `universe.overlap`, the overlap the kernels score with.
+      */
     pairShared: DataFrame,
 )
 
@@ -58,7 +60,7 @@ object Pipeline {
 
     val ingredients = FlavorTables.ingredients(spark, universe).cache()
     val profiles = FlavorTables.profiles(spark, universe).cache()
-    val pairShared = FlavorTables.pairShared(profiles).cache()
+    val pairShared = FlavorTables.pairShared(spark, universe).cache()
 
     Pipeline(spark, scale, universe, rows, phrases, recipes,
              ingredients, profiles, pairShared)

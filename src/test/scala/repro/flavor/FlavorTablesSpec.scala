@@ -1,5 +1,6 @@
 package repro.flavor
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -37,6 +38,11 @@ class FlavorTablesSpec extends AnyFunSuite with SparkSpec {
         assert(got == union, s"compound '${ing.name}' is not the union of its constituents")
       }
     }
+  }
+
+  test("profiles collect in the universe's ingredient and profile order") {
+    val got = profiles.collect().map(r => (r.getInt(0), r.getInt(1))).toVector
+    assert(got == u.ingredients.flatMap(i => i.profile.toSeq.map(m => (i.id, m))))
   }
 
   test("profiles table has no duplicate (ingredient, molecule) rows") {
@@ -94,4 +100,26 @@ class FlavorTablesSpec extends AnyFunSuite with SparkSpec {
       .count()
     assert(hits == 0)
   }
+
+  /** A hand-built universe of basic ingredients with the given profiles. */
+  private def tiny(profiles: Set[Int]*): FlavorUniverse =
+    FlavorUniverse(profiles.toVector.zipWithIndex.map { case (p, id) =>
+      IngredientDef(id, s"ing $id", "Additive", isCompound = false, Vector.empty, p, isCore = false)
+    })
+
+  for ((name, tu) <- Seq(
+         "one ingredient" -> tiny(Set(1, 2, 3)),
+         "only empty profiles" -> tiny(Set.empty, Set.empty, Set.empty),
+         "two disjoint profiles" -> tiny(Set(1, 2), Set(3, 4))))
+    test(s"degenerate universe, $name: no pairs, reference schema, every profile row") {
+      val prof = FlavorTables.profiles(spark, tu)
+      val expected = tu.ingredients.flatMap(i => i.profile.toSeq.map(m => (i.id, m)))
+      assert(prof.collect().map(r => (r.getInt(0), r.getInt(1))).toVector == expected)
+      val got = FlavorTables.pairShared(spark, tu)
+      val reference = FlavorTables.pairShared(prof)
+      def fields(df: DataFrame) = df.schema.fields.map(f => (f.name, f.dataType, f.nullable)).toSeq
+      assert(fields(got) == fields(reference))
+      assert(got.count() == 0)
+      assert(reference.count() == 0)
+    }
 }

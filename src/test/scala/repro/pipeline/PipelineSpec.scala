@@ -1,9 +1,11 @@
 package repro.pipeline
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{SparkSpec, TestPipeline}
+import repro.flavor.FlavorTables
 import repro.ingest.Aliaser
 
 /** End-to-end pipeline integrity: phrase synthesis → aliasing must be
@@ -49,6 +51,17 @@ class PipelineSpec extends AnyFunSuite with SparkSpec {
 
   test("pairShared is non-trivial") {
     assert(p.pairShared.count() > 100000) // 943 ingredients, dense core overlap
+  }
+
+  test("pairShared equals the self-join on the pipeline's profiles") {
+    // Keeps the overlap behind the DataFrame reference scorers independent
+    // of FlavorUniverse.overlap, which pairShared is read off.
+    val reference = FlavorTables.pairShared(p.profiles)
+    def fields(df: DataFrame) = df.schema.fields.map(f => (f.name, f.dataType, f.nullable)).toSeq
+    assert(fields(p.pairShared) == fields(reference))
+    assert(p.pairShared.count() == reference.count())
+    assert(p.pairShared.exceptAll(reference).isEmpty)
+    assert(reference.exceptAll(p.pairShared).isEmpty)
   }
 
   test("profiles cover all ingredients except the profile-free additives") {
