@@ -63,18 +63,24 @@ object RandomModels {
     */
   def profile(spark: SparkSession, region: String, recipes: DataFrame,
               ingredients: DataFrame): CuisineProfile =
-    profileOf(region, recipes.filter(col("region") === region)
-      .select("recipe_id", "ing_id").distinct()
+    profile(region, distinctRows(recipes, region)
       .join(broadcast(ingredients.select("ing_id", "category")), "ing_id")
       .select("recipe_id", "ing_id", "category")
       .collect().toSeq
       .map(r => (r.getLong(0), r.getInt(1), r.getString(2))))
 
+  /** One cuisine's distinct (recipe_id, ing_id) rows. A broadcast join
+    * streams them in order, so `profile` collects them in the order this
+    * frame collects them.
+    */
+  private[repro] def distinctRows(recipes: DataFrame, region: String): DataFrame =
+    recipes.filter(col("region") === region).select("recipe_id", "ing_id").distinct()
+
   /** The profile of one cuisine from its distinct (recipe_id, ing_id,
     * category) rows: ingredients sorted by id, recipes by id, and each
     * recipe's categories in row order.
     */
-  private[core] def profileOf(region: String, rows: Seq[(Long, Int, String)]): CuisineProfile = {
+  def profile(region: String, rows: Seq[(Long, Int, String)]): CuisineProfile = {
     val byIngredient = rows.groupBy(_._2).toArray.sortBy(_._1)
     val recipes = rows.groupBy(_._1).toArray.sortBy(_._1).map(_._2.map(_._3).toArray)
     CuisineProfile(

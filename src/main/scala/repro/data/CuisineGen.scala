@@ -1,6 +1,8 @@
 package repro.data
 
 import scala.collection.mutable
+import scala.concurrent.{Await, Future}
+import scala.concurrent.duration.Duration
 import scala.util.Random
 
 import repro.flavor.FlavorUniverse
@@ -52,13 +54,19 @@ object CuisineGen {
       math.min(math.round(spec.ingredients * math.min(1.0, 4 * scale)).toInt,
                scaledRecipes(spec, scale) * 4)))
 
-  /** Generate every region's recipes (including the UNREG pool).
+  /** Generate every region's recipes (including the UNREG pool), in
+    * [[Regions.generated]] order. Each region is seeded on its own, so the
+    * regions are generated concurrently on the global execution context,
+    * one thread per core, with the result of generating them one by one.
     *
     * @param scale 1.0 reproduces Table 1 exactly; smaller values shrink
     *              recipe counts and pools proportionally for fast tests.
     */
-  def generate(u: FlavorUniverse, scale: Double = 1.0, seed: Long = 7L): Vector[RecipeRow] =
-    Regions.generated.flatMap(spec => generateRegion(u, spec, scale, seed))
+  def generate(u: FlavorUniverse, scale: Double = 1.0, seed: Long = 7L): Vector[RecipeRow] = {
+    import scala.concurrent.ExecutionContext.Implicits.global
+    Regions.generated.map(spec => Future(generateRegion(u, spec, scale, seed)))
+      .flatMap(Await.result(_, Duration.Inf))
+  }
 
   /** Generate one region deterministically (independent of other regions). */
   def generateRegion(u: FlavorUniverse, spec: RegionSpec, scale: Double = 1.0,

@@ -12,6 +12,10 @@ import repro.ingest.TextNorm
   * Decorations are drawn exclusively from [[TextNorm.CulinaryStopwords]]
   * and numerals; the ingredient surface form may be pluralized or replaced
   * by a registered synonym — all invertible by the aliaser.
+  *
+  * One formula renders every phrase, `phrase(name, recipeId, slot, ingId)`:
+  * the pipeline calls it inside Spark tasks, and the universe-based
+  * `phrase` and `phrases` delegate to it on the driver.
   */
 object PhraseGen {
 
@@ -33,9 +37,14 @@ object PhraseGen {
   }
 
   /** Render the phrase for one (recipe, slot) deterministically. */
-  def phrase(u: FlavorUniverse, recipeId: Long, slot: Int, ingId: Int): String = {
+  def phrase(u: FlavorUniverse, recipeId: Long, slot: Int, ingId: Int): String =
+    phrase(u.byId(ingId).name, recipeId, slot, ingId)
+
+  /** The phrase for ingredient `ingId`, canonically named `name`, in one
+    * (recipe, slot). Needs no universe, so Spark tasks call it directly.
+    */
+  def phrase(name: String, recipeId: Long, slot: Int, ingId: Int): String = {
     val rng = new Random(recipeId * 1013904223L + slot * 2654435761L + ingId)
-    val name = u.byId(ingId).name
 
     val surface0 = SurfaceSynonyms.get(name) match {
       case Some(alts) if rng.nextDouble() < 0.3 => alts(rng.nextInt(alts.size))

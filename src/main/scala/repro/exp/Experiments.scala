@@ -74,34 +74,41 @@ object Experiments {
                               nsRand: Double, sigmaRand: Double, nRand: Long,
                               z: Double)
 
-  /** Compute Z for every (region, null model). One collect brings the
-    * requested regions' recipes to the Spark driver; the real and the sampled
-    * cuisines are scored there by [[PairingKernel]] over the universe's
-    * overlap matrix, one sampled cuisine at a time.
+  /** Compute Z for every (region, null model). One Spark job per region
+    * collects its distinct recipe rows (see `cuisineRows`); they give both
+    * the real N_s^C and the null models' profile. The real and the sampled
+    * cuisines are scored on the Spark driver by [[PairingKernel]] over the
+    * universe's overlap matrix, one sampled cuisine at a time.
     */
   def foodPairing(p: Pipeline, nRand: Int, seed: Long = 11L,
                   regions: Vector[String] = Table1Order): Vector[PairingRow] = {
-    val regional = regionalRecipes(p)
     val kernel = PairingKernel(p.universe)
-    val realNs: Map[String, Double] = for {
-      (region, rows) <- recipeRows(regional.filter(col("region").isin(regions: _*))).groupBy(_._1)
-      cs             <- kernel.cuisine(PairingKernel.recipes(rows))
-    } yield region -> cs.ns
-
     val out = Vector.newBuilder[PairingRow]
     for (region <- regions) {
-      require(realNs.contains(region), s"region $region has no recipe with 2 ingredients")
-      val prof = RandomModels.profile(p.spark, region, regional, p.ingredients)
+      val rows = cuisineRows(p, region)
+      val real = kernel.cuisine(PairingKernel.recipes(rows.map { case (recipe, ing, _) => (region, recipe, ing) }))
+      require(real.isDefined, s"region $region has no recipe with 2 ingredients")
+      val nsReal = real.get.ns
+      val prof = RandomModels.profile(region, rows)
       for (model <- RandomModels.AllModels) {
         val cs = kernel.cuisine(PairingKernel.recipes(RandomModels.sampleRows(prof, model, nRand, seed)))
         require(cs.isDefined, s"$region@${model.name}: no sampled recipe has 2 ingredients")
         val PairingKernel.CuisineScore(nsRand, sigma, n) = cs.get
-        out += PairingRow(region, model.name, realNs(region), nsRand, sigma, n,
-                          ZScore.z(realNs(region), nsRand, sigma, n))
+        out += PairingRow(region, model.name, nsReal, nsRand, sigma, n,
+                          ZScore.z(nsReal, nsRand, sigma, n))
       }
     }
     out.result()
   }
+
+  /** One regional cuisine's distinct (recipe_id, ing_id, category) rows,
+    * each category read off the universe. They come in the order
+    * `RandomModels.profile(spark, region, regionalRecipes(p), p.ingredients)`
+    * collects them, which the category models' templates keep.
+    */
+  private[exp] def cuisineRows(p: Pipeline, region: String): Seq[(Long, Int, String)] =
+    RandomModels.distinctRows(regionalRecipes(p), region).collect().toSeq
+      .map { r => val ing = r.getInt(1); (r.getLong(0), ing, p.universe.byId(ing).category) }
 
   /** (region, recipe_id, ing_id) rows, collected. */
   private def recipeRows(recipes: DataFrame): Array[(String, Long, Int)] =

@@ -40,15 +40,17 @@ object FlavorTables {
     * [[FlavorUniverse.overlap]]: (ing_a < ing_b, shared), non-null ints,
     * the same rows and schema as the self-join `pairShared(profilesDf)`.
     * Pairs sharing no molecule are absent. The task closure captures only
-    * `u.overlap` (broadcast with the task binary) and `u.size`, not `u`.
+    * a broadcast of `u.overlap` and `u.size`, not `u`, so a stage that reads
+    * this table or its cache does not ship the matrix in its task binary.
     */
   def pairShared(spark: SparkSession, u: FlavorUniverse): DataFrame = {
     import spark.implicits._
-    val overlap = u.overlap
+    val overlapBc = spark.sparkContext.broadcast(u.overlap)
     val n = u.size
     indices(spark, n)
       .flatMap { a0 =>
         val a = a0.intValue
+        val overlap = overlapBc.value
         Iterator.range(a + 1, n).filter(b => overlap(a * n + b) > 0).map(b => (a, b, overlap(a * n + b)))
       }
       .toDF("ing_a", "ing_b", "shared")

@@ -26,7 +26,7 @@ class RandomModelsPropertySpec extends AnyFunSuite {
     seed     <- Gen.choose(0L, 1000L)
   } yield {
     val rows = for ((ings, rid) <- recipes.zipWithIndex; i <- ings) yield (rid.toLong, 100 + i, catOf(i))
-    (RandomModels.profileOf("TST", rows), nRecipes, seed)
+    (RandomModels.profile("TST", rows), nRecipes, seed)
   }
 
   /** Every way a model's sample of `prof` breaks a null-model invariant. */

@@ -65,6 +65,14 @@ class CuisineGenSpec extends AnyFunSuite {
     assert(again == byRegion("KOR"))
   }
 
+  test("concurrent generation equals generating the regions one by one, in order") {
+    for (seed <- Seq(7L, 3L); scale <- Seq(1.0, 0.1)) {
+      val parallel = if (seed == 7L && scale == 1.0) full else CuisineGen.generate(universe, scale, seed)
+      val serial = Regions.generated.flatMap(CuisineGen.generateRegion(universe, _, scale, seed))
+      assert(parallel == serial, s"seed $seed, scale $scale")
+    }
+  }
+
   test("different seeds give different corpora") {
     val other = CuisineGen.generateRegion(universe, Regions.byCode("KOR"), seed = 99L)
     assert(other != byRegion("KOR"))

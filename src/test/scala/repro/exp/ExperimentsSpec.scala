@@ -113,7 +113,7 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     val (fig4B, topB) = run("5")
     assert(fig4A.map(r => (r.region, r.nsReal)) == fig4B.map(r => (r.region, r.nsReal)))
     // The category models take each template's category order from Spark's
-    // row order (RandomModels.profileOf), so only these two cells compare.
+    // row order (RandomModels.profile), so only these two cells compare.
     val uniform = Set("random", "frequency")
     assert(fig4A.filter(r => uniform(r.model)) == fig4B.filter(r => uniform(r.model)))
     assert(topA == topB)
@@ -125,6 +125,28 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
        Experiments.popularitySlopes(q), Experiments.worldSizeHistogram(q))
     }
     assert(run("64") == run("5"))
+  }
+
+  test("the rows foodPairing collects give every region's RandomModels.profile") {
+    val regional = Experiments.regionalRecipes(p)
+    for (region <- Experiments.Table1Order) {
+      val got = RandomModels.profile(region, Experiments.cuisineRows(p, region))
+      val want = RandomModels.profile(spark, region, regional, p.ingredients)
+      assert(got.region == want.region)
+      assert(got.ingredients.toSeq == want.ingredients.toSeq, region)
+      assert(got.frequencies.toSeq == want.frequencies.toSeq, region)
+      assert(got.categories.toSeq == want.categories.toSeq, region)
+      assert(got.recipeSizes.toSeq == want.recipeSizes.toSeq, region)
+      assert(got.recipeCategories.map(_.toSeq).toSeq == want.recipeCategories.map(_.toSeq).toSeq, region)
+    }
+  }
+
+  test("foodPairing names a region with no recipe of 2 ingredients") {
+    val ing = p.recipes.filter(col("region") === "KOR").select("ing_id").head().getInt(0)
+    // Every KOR recipe keeps at most this one ingredient.
+    val single = p.copy(recipes = p.recipes.filter(col("region") =!= "KOR" || col("ing_id") === ing))
+    val e = intercept[IllegalArgumentException](Experiments.foodPairing(single, nRand = 10, regions = Vector("KOR")))
+    assert(e.getMessage.contains("region KOR has no recipe with 2 ingredients"))
   }
 
   test("observedSigns extracts the sign of the random-model Z") {

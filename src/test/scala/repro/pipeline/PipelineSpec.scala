@@ -1,10 +1,11 @@
 package repro.pipeline
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{SparkSpec, TestPipeline}
+import repro.data.{PhraseGen, RecipeRow}
 import repro.flavor.FlavorTables
 import repro.ingest.Aliaser
 
@@ -47,6 +48,40 @@ class PipelineSpec extends AnyFunSuite with SparkSpec {
     import spark.implicits._
     val regions = p.recipes.select("region").distinct().as[String].collect().toSet
     assert(regions == repro.data.Regions.generated.map(_.code).toSet)
+  }
+
+  /** The phrases rendered on the driver, as a local relation in corpus
+    * order, dealt round-robin over `defaultParallelism` partitions.
+    */
+  private def driverPhrases(rows: Vector[RecipeRow]): DataFrame = {
+    import spark.implicits._
+    rows.flatMap(r => PhraseGen.phrases(p.universe, r).map { case (slot, ph) => (r.region, r.recipeId, slot, ph) })
+      .toDF("region", "recipe_id", "slot", "phrase")
+      .repartition(spark.sparkContext.defaultParallelism)
+  }
+
+  private def partitions(df: DataFrame): Seq[Seq[Row]] = df.rdd.glom().collect().map(_.toSeq).toSeq
+
+  test("phrases and recipes hold the driver-rendered rows, partition by partition") {
+    // Cached, as the pipeline caches its phrases: over an uncached frame the
+    // aliaser's filter would be pushed below the round-robin repartition.
+    val reference = driverPhrases(p.groundTruth).cache()
+    try {
+      assert(p.phrases.schema == reference.schema)
+      assert(partitions(p.phrases) == partitions(reference))
+      assert(partitions(p.recipes) == partitions(Aliaser.aliasedRecipes(spark, p.universe, reference)))
+    } finally reference.unpersist(blocking = true)
+  }
+
+  test("phrases keep the driver-rendered layout on degenerate corpora") {
+    val fewer = math.max(1, spark.sparkContext.defaultParallelism - 1)
+    val oneRecipe = Vector(RecipeRow("KOR", 7L, Vector(3, 1, 4)))
+    // Fewer slots than partitions, one per recipe, after a recipe with none.
+    val fewSlots = RecipeRow("ITA", 1L, Vector.empty) +:
+      Vector.tabulate(fewer)(i => RecipeRow("JPN", 10L + i, Vector(20 + i)))
+    for (rows <- Seq(oneRecipe, fewSlots))
+      assert(partitions(Pipeline.phrases(spark, p.universe, rows)) == partitions(driverPhrases(rows)),
+             rows.map(_.recipeId))
   }
 
   test("pairShared is non-trivial") {
