@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.util.Random
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
@@ -26,10 +25,10 @@ import org.apache.spark.sql.functions._
   * frequency of use in the cuisine.
   *
   * Sampling runs on the driver (seeded, deterministic) from cuisine
-  * statistics collected via DataFrame aggregations, and returns plain rows
-  * of the same (region, recipe_id, ing_id) shape as a real cuisine, so
-  * either scorer takes them: [[PairingKernel]] (grouped by
-  * [[PairingKernel.recipes]]) or, as a DataFrame, [[FoodPairing.recipeScores]].
+  * statistics collected via DataFrame aggregations. [[sample]] returns the
+  * recipes as the sorted id arrays [[PairingKernel.cuisine]] scores;
+  * [[sampleRows]] returns the same draws as (region, recipe_id, ing_id)
+  * rows, the shape of a real cuisine, for [[FoodPairing.recipeScores]].
   */
 object RandomModels {
 
@@ -93,13 +92,34 @@ object RandomModels {
     )
   }
 
-  /** Generate `nRecipes` random recipes under `model` as
-    * (region, recipe_id, ing_id) rows with region = "region@model".
+  /** Generate `nRecipes` random recipes under `model`, each as its
+    * ingredient ids in ascending order, as [[PairingKernel.cuisine]] takes
+    * them; element r is the r-th recipe drawn.
+    */
+  def sample(prof: CuisineProfile, model: Model, nRecipes: Int, seed: Long = 11L): Array[Array[Int]] = {
+    val out = new Array[Array[Int]](nRecipes)
+    draws(prof, model, nRecipes, seed) { (r, ings) => java.util.Arrays.sort(ings); out(r) = ings }
+    out
+  }
+
+  /** The recipes of [[sample]] as (region, recipe_id, ing_id) rows with
+    * region = "region@model", each recipe's ingredients in draw order.
     */
   def sampleRows(prof: CuisineProfile, model: Model, nRecipes: Int,
                  seed: Long = 11L): Vector[(String, Long, Int)] = {
-    val rng = new Random(seed * 7919L + prof.region.hashCode * 31L + model.name.hashCode)
     val label = s"${prof.region}@${model.name}"
+    val rows = Vector.newBuilder[(String, Long, Int)]
+    draws(prof, model, nRecipes, seed) { (r, ings) => ings.foreach(i => rows += ((label, r.toLong, i))) }
+    rows.result()
+  }
+
+  /** Draws `nRecipes` recipes under `model`, calling `f(r, ids)` for the
+    * r-th with a new array of its ingredient ids in draw order. Per recipe
+    * the RNG draws one template, then one ingredient per template slot.
+    */
+  private def draws(prof: CuisineProfile, model: Model, nRecipes: Int, seed: Long)
+                   (f: (Int, Array[Int]) => Unit): Unit = {
+    val rng = new Random(seed * 7919L + prof.region.hashCode * 31L + model.name.hashCode)
 
     /** Indices into the profile's arrays, with their cumulative frequencies. */
     final class Pool(val idx: Array[Int]) {
@@ -115,8 +135,10 @@ object RandomModels {
       if (model.keepsCategories) prof.recipeCategories(t).map(byCategory)
       else Array.fill(prof.recipeSizes(t))(cuisine)
     }
+    // The profile indices the recipe being drawn holds already.
+    val excluded = new Array[Boolean](prof.ingredients.length)
 
-    def draw(pool: Pool, excluded: mutable.BitSet): Int = {
+    def draw(pool: Pool): Int = {
       var rejections = 0
       while (rejections < MaxRejections) {
         val k =
@@ -134,15 +156,14 @@ object RandomModels {
       pool.idx(free)
     }
 
-    val rows = Vector.newBuilder[(String, Long, Int)]
     for (r <- 0 until nRecipes) {
-      val excluded = mutable.BitSet.empty
-      for (pool <- templates(rng.nextInt(templates.length))) {
-        val pick = draw(pool, excluded)
-        excluded += pick
-        rows += ((label, r.toLong, prof.ingredients(pick)))
+      val picks = templates(rng.nextInt(templates.length)).map { pool =>
+        val pick = draw(pool)
+        excluded(pick) = true
+        pick
       }
+      picks.foreach(excluded(_) = false)
+      f(r, picks.map(prof.ingredients(_)))
     }
-    rows.result()
   }
 }

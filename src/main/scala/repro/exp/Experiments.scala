@@ -31,7 +31,7 @@ object Experiments {
   final case class Table1Row(region: String, recipes: Long, ingredients: Long)
 
   def table1(p: Pipeline): Vector[Table1Row] = {
-    val rows = corpus(p.recipes).table1.map { case (r, n, m) => r -> Table1Row(r, n, m) }.toMap
+    val rows = p.corpus.table1.map { case (r, n, m) => r -> Table1Row(r, n, m) }.toMap
     val order = Table1Order :+ CuisineStats.World
     val missing = order.filterNot(rows.contains)
     require(missing.isEmpty, s"Table 1 has no rows for ${missing.mkString(", ")}")
@@ -43,7 +43,7 @@ object Experiments {
   final case class CategoryRow(region: String, category: String, share: Double)
 
   def categoryComposition(p: Pipeline): Vector[CategoryRow] =
-    corpus(p.recipes).categoryComposition(id => p.universe.byId.get(id).map(_.category))
+    p.corpus.categoryComposition(id => p.universe.byId.get(id).map(_.category))
       .map { case (r, c, share) => CategoryRow(r, c, share) }
 
   // ── Fig 3: recipe sizes and popularity ────────────────────────────────
@@ -51,19 +51,14 @@ object Experiments {
   final case class SizeRow(region: String, meanSize: Double, maxSize: Int)
 
   def meanSizes(p: Pipeline): Vector[SizeRow] =
-    corpus(p.recipes).meanSizes.map { case (r, mean, max) => SizeRow(r, mean, max) }
+    p.corpus.meanSizes.map { case (r, mean, max) => SizeRow(r, mean, max) }
 
   def popularitySlopes(p: Pipeline): Vector[(String, Double)] =
-    corpus(p.recipes).popularitySlopes
+    p.corpus.popularitySlopes
 
   /** World recipe-size histogram (n → count). */
   def worldSizeHistogram(p: Pipeline): Vector[(Int, Long)] =
-    corpus(p.recipes).sizeHistogram
-
-  /** The collected recipe table; see [[CorpusKernel]] for what each
-    * statistic reads of it.
-    */
-  private def corpus(recipes: DataFrame): CorpusKernel = new CorpusKernel(recipeRows(recipes))
+    p.corpus.sizeHistogram
 
   // ── Fig 4: food pairing Z-scores ──────────────────────────────────────
 
@@ -82,6 +77,7 @@ object Experiments {
     */
   def foodPairing(p: Pipeline, nRand: Int, seed: Long = 11L,
                   regions: Vector[String] = Table1Order): Vector[PairingRow] = {
+    require(nRand >= 1, s"nRand must be at least 1, not $nRand")
     val kernel = PairingKernel(p.universe)
     val out = Vector.newBuilder[PairingRow]
     for (region <- regions) {
@@ -91,7 +87,7 @@ object Experiments {
       val nsReal = real.get.ns
       val prof = RandomModels.profile(region, rows)
       for (model <- RandomModels.AllModels) {
-        val cs = kernel.cuisine(PairingKernel.recipes(RandomModels.sampleRows(prof, model, nRand, seed)))
+        val cs = kernel.cuisine(RandomModels.sample(prof, model, nRand, seed))
         require(cs.isDefined, s"$region@${model.name}: no sampled recipe has 2 ingredients")
         val PairingKernel.CuisineScore(nsRand, sigma, n) = cs.get
         out += PairingRow(region, model.name, nsReal, nsRand, sigma, n,
@@ -110,11 +106,6 @@ object Experiments {
     RandomModels.distinctRows(regionalRecipes(p), region).collect().toSeq
       .map { r => val ing = r.getInt(1); (r.getLong(0), ing, p.universe.byId(ing).category) }
 
-  /** (region, recipe_id, ing_id) rows, collected. */
-  private def recipeRows(recipes: DataFrame): Array[(String, Long, Int)] =
-    recipes.select("region", "recipe_id", "ing_id").collect()
-      .map(r => (r.getString(0), r.getLong(1), r.getInt(2)))
-
   /** Observed pairing sign per region from the Random-model Z. */
   def observedSigns(rows: Vector[PairingRow]): Map[String, Int] =
     rows.filter(_.model == RandomModels.RandomUniform.name)
@@ -126,11 +117,10 @@ object Experiments {
                                   chi: Double, freq: Long, popularityRank: Int)
 
   def topContributors(p: Pipeline, signs: Map[String, Int], k: Int = 3): Vector[ContributorRow] = {
-    val regional = corpus(regionalRecipes(p))
     val kernel = PairingKernel(p.universe)
     (for {
-      (region, recipes) <- regional.recipes.toVector if signs.contains(region)
-      popRank            = regional.popularity(region).map(q => q.ingId -> q.rank).toMap
+      (region, recipes) <- p.corpus.recipes.toVector if region != CuisineStats.Unregioned && signs.contains(region)
+      popRank            = p.corpus.popularity(region).map(q => q.ingId -> q.rank).toMap
       (c, i)            <- CorpusKernel.top(kernel.chi(recipes), signs(region), k).zipWithIndex
     } yield {
       val name = p.universe.byId(c.ingId).name

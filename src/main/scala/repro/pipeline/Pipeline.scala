@@ -7,6 +7,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{CuisineGen, PhraseGen, RecipeRow}
 import repro.flavor.{FlavorGen, FlavorTables, FlavorUniverse}
 import repro.ingest.Aliaser
+import repro.stats.CorpusKernel
 
 /** End-to-end data pipeline: flavor universe → synthetic corpus → raw
   * phrases → aliasing → the analysis-ready recipe table, plus the derived
@@ -35,7 +36,16 @@ final case class Pipeline(
       * Read off `universe.overlap`, the overlap the kernels score with.
       */
     pairShared: DataFrame,
-)
+) {
+
+  /** The recipe table collected on first use, with one Spark job, as the
+    * [[CorpusKernel]] that Table 1 and Figs 2, 3 and 5 read. It is a member,
+    * not a field: each instance, a `copy(recipes = …)` too, collects its own
+    * `recipes`.
+    */
+  lazy val corpus: CorpusKernel = new CorpusKernel(
+    recipes.select("region", "recipe_id", "ing_id").collect().map(r => (r.getString(0), r.getLong(1), r.getInt(2))))
+}
 
 object Pipeline {
 
@@ -51,6 +61,10 @@ object Pipeline {
     val universe = FlavorGen.universe()
     val rows = CuisineGen.generate(universe, scale, seed)
 
+    // The cache fixes the layout of `recipes`, and with it the row order
+    // that Fig 4's category models take their templates from: over an
+    // uncached frame, Catalyst pushes the aliasing filter below the
+    // round-robin repartition, which then deals a different row set.
     val phrases = Pipeline.phrases(spark, universe, rows).cache()
     val recipes = Aliaser.aliasedRecipes(spark, universe, phrases).cache()
 

@@ -5,10 +5,11 @@ import repro.stats.CuisineStats.{Unregioned, World}
 
 /** The corpus statistics of Table 1, Fig 2 and Fig 3, and the ranking of
   * Fig 5, on the Spark driver from the collected rows of the recipe table.
-  * The table is small (about 46k rows at scale 0.1), so one collect and a
-  * few groupings replace a chain of shuffles per statistic. Each method
-  * mirrors the [[CuisineStats]] DataFrame definition that the artifacts ran
-  * before, and that stays as the reference the tests compare it with:
+  * The table is small (41,114 rows at scale 0.1), so `Pipeline.corpus`
+  * collects it once per pipeline, and each statistic is a few loops over
+  * flat arrays instead of a chain of shuffles. Each method mirrors the
+  * [[CuisineStats]] DataFrame definition that the artifacts ran before, and
+  * that stays as the reference the tests compare it with:
   *
   *  - [[table1]]: distinct recipe ids and distinct ingredient ids per
   *    region, UNREG excluded; WORLD counts the distinct (region, recipe_id)
@@ -30,68 +31,137 @@ import repro.stats.CuisineStats.{Unregioned, World}
   *    its sign, sign·χ ascending, rows without χ last, ties by ing_id;
   *    `Experiments.topContributors` ranks only the regions it has a sign for.
   *
-  * Grouping by recipe follows [[PairingKernel.recipes]]; the WORLD size
-  * rows group by recipe id alone, as the DataFrame path's relabelled
-  * region does.
+  * A recipe is a (region, recipe_id) pair, and its ingredients are the
+  * distinct ids of its rows, as [[PairingKernel.recipes]] groups them; the
+  * WORLD size rows group by recipe id alone, as the DataFrame path's
+  * relabelled region does. The rows are not kept: the constructor converts
+  * them into [[CorpusKernel.Columns]].
   *
   * @param rows (region, recipe_id, ing_id) rows, UNREG and duplicates included
   */
-final class CorpusKernel(rows: Array[(String, Long, Int)]) {
+final class CorpusKernel private (c: CorpusKernel.Columns) {
   import CorpusKernel._
+  import c._
+
+  def this(rows: Array[(String, Long, Int)]) = this(CorpusKernel.Columns(rows))
 
   /** Each region's recipes, as [[PairingKernel.recipes]] gives them. */
   lazy val recipes: Map[String, Array[Array[Int]]] =
-    rows.groupBy(_._1).view.mapValues(rs => PairingKernel.recipes(rs)).toMap
+    region.indices.groupBy(region(_)).map { case (g, rs) =>
+      regions(g) -> rs.toArray.map(r => ing.slice(offsets(r), offsets(r + 1)).map(ingIds(_)))
+    }
 
-  private def regions: Vector[String] = recipes.keys.filter(_ != Unregioned).toVector.sorted
+  /** Indices of the regions other than UNREG, in name order. */
+  private def regional: Vector[Int] = regions.indices.filter(regions(_) != Unregioned).toVector
+
+  /** Region × ingredient counts, row-major: the recipes that use each
+    * ingredient, or with `bySlot` the slots that hold it.
+    */
+  private def uses(bySlot: Boolean): Array[Long] = {
+    val out = new Array[Long](regions.length * ingIds.length)
+    for (r <- region.indices; s <- offsets(r) until offsets(r + 1))
+      out(region(r) * ingIds.length + ing(s)) += (if (bySlot) slots(s) else 1)
+    out
+  }
 
   /** Table 1: (region, recipes, ingredients) by region, then WORLD. */
-  def table1: Vector[(String, Long, Long)] =
-    regions.map { r => (r, recipes(r).length.toLong, recipes(r).flatten.distinct.length.toLong) } :+
-      ((World, recipes.valuesIterator.map(_.length.toLong).sum, rows.map(_._3).distinct.length.toLong))
+  def table1: Vector[(String, Long, Long)] = {
+    val used = uses(bySlot = false)
+    regional.map { g =>
+      (regions(g), region.count(_ == g).toLong, ingIds.indices.count(i => used(g * ingIds.length + i) > 0).toLong)
+    } :+ ((World, region.length.toLong, ingIds.length.toLong))
+  }
 
   /** Fig 2: (region, category, share) for the ingredient ids `category` knows. */
   def categoryComposition(category: Int => Option[String]): Vector[(String, String, Double)] = {
-    val uses = rows.toVector
-      .flatMap { case (region, _, ing) => category(ing).toVector.flatMap(c => Vector(region -> c, World -> c)) }
-      .groupMapReduce(identity)(_ => 1L)(_ + _)
-    val total = uses.groupMapReduce(_._1._1)(_._2)(_ + _)
-    uses.toVector.sorted.map { case ((region, c), n) => (region, c, n.toDouble / total(region)) }
+    val slotted = uses(bySlot = true)
+    val cats = ingIds.map(category)
+    def shares(name: String, count: Int => Long) = {
+      val byCategory = ingIds.indices.filter(i => cats(i).isDefined && count(i) > 0)
+        .groupMapReduce(cats(_).get)(count)(_ + _)
+      val total = byCategory.values.sum
+      byCategory.toVector.map { case (cat, n) => (name, cat, n.toDouble / total) }
+    }
+    (regions.indices.flatMap(g => shares(regions(g), i => slotted(g * ingIds.length + i))) ++
+      shares(World, i => regions.indices.map(g => slotted(g * ingIds.length + i)).sum))
+      .sortBy(r => (r._1, r._2)).toVector
   }
 
   /** Fig 3: (region, mean size, max size) by region, then WORLD. */
   def meanSizes: Vector[(String, Double, Int)] = {
-    def row(region: String, sizes: Array[Int]) = (region, sizes.foldLeft(0.0)(_ + _) / sizes.length, sizes.max)
-    val world = PairingKernel.recipes(rows.filter(_._1 != Unregioned)).map(_.length)
-    regions.map(r => row(r, recipes(r).map(_.length))) ++ Option.when(world.nonEmpty)(row(World, world))
+    def row(name: String, sizes: Seq[Int]) = (name, sizes.foldLeft(0.0)(_ + _) / sizes.length, sizes.max)
+    def sizes(g: Int) = region.indices.filter(region(_) == g).map(r => offsets(r + 1) - offsets(r))
+    val world = sizesById(regions(_) != Unregioned)
+    regional.map(g => row(regions(g), sizes(g))) ++ Option.when(world.nonEmpty)(row(World, world.toSeq))
   }
 
   /** Fig 3b: a region's ingredients in rank order. */
   def popularity(region: String): Vector[Popularity] = {
-    val ranked = recipes(region).flatten.groupMapReduce(identity)(_ => 1L)(_ + _)
-      .toVector.sortBy { case (ing, freq) => (-freq, ing) }
-    val top = ranked.head._2
-    ranked.zipWithIndex.map { case ((ing, freq), i) => Popularity(ing, freq, i + 1, freq.toDouble / top) }
+    val g = regions.indexOf(region)
+    require(g >= 0, s"the corpus has no recipe of region $region")
+    popularity(g, uses(bySlot = false))
+  }
+
+  /** Region `g`'s popularity curve out of the recipe counts `used`; the
+    * stable sort keeps ties in ingredient id order.
+    */
+  private def popularity(g: Int, used: Array[Long]): Vector[Popularity] = {
+    val freq = (i: Int) => used(g * ingIds.length + i)
+    val ranked = ingIds.indices.filter(freq(_) > 0).sortBy(i => -freq(i))
+    val top = freq(ranked.head)
+    ranked.zipWithIndex.map { case (i, k) => Popularity(ingIds(i), freq(i), k + 1, freq(i).toDouble / top) }.toVector
   }
 
   /** Fig 3b: (region, slope of ln norm against ln rank) by region. */
-  def popularitySlopes: Vector[(String, Double)] = regions.map { region =>
-    // StrictMath, as Spark's `log`, and sums in rank order, as Spark's
-    // aggregate over the window's output, give the DataFrame's bits.
-    val xy = popularity(region).map(q => (StrictMath.log(q.rank.toDouble), StrictMath.log(q.normFreq)))
-    def avg(f: ((Double, Double)) => Double) = xy.foldLeft(0.0)((s, q) => s + f(q)) / xy.length
-    val (x, y) = (avg(_._1), avg(_._2))
-    val varX = avg(q => q._1 * q._1) - x * x
-    require(varX != 0, s"region $region uses one distinct ingredient, so its popularity slope is undefined")
-    region -> (avg(q => q._1 * q._2) - x * y) / varX
+  def popularitySlopes: Vector[(String, Double)] = {
+    val used = uses(bySlot = false)
+    regional.map { g =>
+      // StrictMath, as Spark's `log`, and sums in rank order, as Spark's
+      // aggregate over the window's output, give the DataFrame's bits.
+      val xy = popularity(g, used).map(q => (StrictMath.log(q.rank.toDouble), StrictMath.log(q.normFreq)))
+      def avg(f: ((Double, Double)) => Double) = xy.foldLeft(0.0)((s, q) => s + f(q)) / xy.length
+      val (x, y) = (avg(_._1), avg(_._2))
+      val varX = avg(q => q._1 * q._1) - x * x
+      require(varX != 0, s"region ${regions(g)} uses one distinct ingredient, so its popularity slope is undefined")
+      regions(g) -> (avg(q => q._1 * q._2) - x * y) / varX
+    }
   }
 
   /** Fig 3a: (n, recipes of n distinct ingredients) in n order. */
   def sizeHistogram: Vector[(Int, Long)] =
-    PairingKernel.recipes(rows).groupMapReduce(_.length)(_ => 1L)(_ + _).toVector.sorted
+    sizesById(_ => true).groupMapReduce(identity)(_ => 1L)(_ + _).toVector.sorted
+
+  /** Distinct ingredients per recipe id, over the recipes of the regions
+    * `keep` admits; a recipe id in several regions is one recipe.
+    */
+  private def sizesById(keep: Int => Boolean): Iterable[Int] =
+    region.indices.filter(r => keep(region(r))).groupBy(ids(_)).values
+      .map(_.flatMap(r => ing.slice(offsets(r), offsets(r + 1))).distinct.size)
 }
 
 object CorpusKernel {
+
+  /** A corpus as flat arrays. Recipe r, of region `regions(region(r))` and
+    * id `ids(r)`, comes in (id, region) order and holds entries `offsets(r)`
+    * until `offsets(r + 1)`; entry s is ingredient `ingIds(ing(s))`, and
+    * `slots(s)` rows hold it. A recipe's entries are in ingredient id order.
+    * `regions` and `ingIds` are sorted and distinct.
+    */
+  private final case class Columns(regions: Array[String], ingIds: Array[Int], region: Array[Int],
+                                   ids: Array[Long], offsets: Array[Int], ing: Array[Int], slots: Array[Int])
+
+  private object Columns {
+    def apply(rows: Array[(String, Long, Int)]): Columns = {
+      val regions = rows.map(_._1).distinct.sorted
+      val ingIds = rows.map(_._3).distinct.sorted
+      // (id, region) → the recipe's (ingredient index, rows) in ingredient order
+      val recipes = rows.groupBy(r => (r._2, r._1)).toArray.sortBy(_._1).map { case (key, rs) =>
+        key -> rs.groupMapReduce(r => java.util.Arrays.binarySearch(ingIds, r._3))(_ => 1)(_ + _).toArray.sorted
+      }
+      Columns(regions, ingIds, recipes.map(r => regions.indexOf(r._1._2)), recipes.map(_._1._1),
+              recipes.scanLeft(0)(_ + _._2.length), recipes.flatMap(_._2.map(_._1)), recipes.flatMap(_._2.map(_._2)))
+    }
+  }
 
   /** One ingredient of a region's popularity curve. */
   final case class Popularity(ingId: Int, freq: Long, rank: Int, normFreq: Double)

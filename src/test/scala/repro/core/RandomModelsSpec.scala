@@ -183,6 +183,14 @@ class RandomModelsSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  test("sample draws sampleRows' recipes in order, each sorted") {
+    for (m <- RandomModels.AllModels; seed <- Seq(3L, 11L)) {
+      val rows = RandomModels.sampleRows(prof, m, 300, seed)
+      val expected = (0L until 300L).map(r => rows.filter(_._2 == r).map(_._3).sorted)
+      assert(RandomModels.sample(prof, m, 300, seed).map(_.toVector).toVector == expected, s"${m.name}, seed $seed")
+    }
+  }
+
   test("the number of generated recipes is exactly nRecipes for all models") {
     for (m <- RandomModels.AllModels) {
       val rows = RandomModels.sampleRows(prof, m, 123)

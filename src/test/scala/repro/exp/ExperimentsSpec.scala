@@ -1,5 +1,9 @@
 package repro.exp
 
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions.col
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -7,6 +11,7 @@ import repro.{SparkSpec, TestPipeline}
 import repro.core.RandomModels
 import repro.data.Regions
 import repro.pipeline.Pipeline
+import repro.stats.CuisineStats
 
 /** Harness-level tests on the small-scale pipeline: the planted pairing
   * patterns must already be recoverable at reduced scale.
@@ -32,6 +37,59 @@ class ExperimentsSpec extends AnyFunSuite with SparkSpec {
     val noKor = p.copy(recipes = p.recipes.filter(col("region") =!= "KOR"))
     val e = intercept[IllegalArgumentException](Experiments.table1(noKor))
     assert(e.getMessage.contains("KOR"))
+  }
+
+  /** Table 1, Fig 2, Fig 3 and Fig 5's entry points on `q`. */
+  private def corpusArtifacts(q: Pipeline) =
+    (Experiments.table1(q), Experiments.categoryComposition(q), Experiments.meanSizes(q),
+     Experiments.popularitySlopes(q), Experiments.worldSizeHistogram(q),
+     Experiments.topContributors(q, Regions.all.map(r => r.code -> r.zSign).toMap))
+
+  test("the corpus entry points run one Spark job on a fresh pipeline, and none on a second round") {
+    p.recipes.count() // the cached table exists before the count starts
+    val fresh = p.copy()
+    assert(fresh.productArity == 9, "corpus is a member, not a constructor field")
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    def round() = {
+      TestListenerBus.drain(spark.sparkContext)
+      jobs.set(0)
+      val rows = corpusArtifacts(fresh)
+      TestListenerBus.drain(spark.sparkContext)
+      (jobs.get, rows)
+    }
+    spark.sparkContext.addSparkListener(listener)
+    try {
+      val (first, rowsA) = round()
+      val (second, rowsB) = round()
+      assert(first == 1 && second == 0, s"jobs: $first, then $second")
+      assert(rowsA == rowsB)
+      assert(rowsA == corpusArtifacts(p))
+    } finally spark.sparkContext.removeSparkListener(listener)
+  }
+
+  test("a copy made after the original was used collects its own rows") {
+    val used = p.copy()
+    Experiments.table1(used)
+    val noKor = used.copy(recipes = used.recipes.filter(col("region") =!= "KOR"))
+    val e = intercept[IllegalArgumentException](Experiments.table1(noKor))
+    assert(e.getMessage.contains("KOR"))
+    assert(Experiments.table1(used).exists(_.region == "KOR"))
+  }
+
+  test("topContributors returns no UNREG row, even with a sign for UNREG") {
+    assert(p.recipes.filter(col("region") === CuisineStats.Unregioned).count() > 0)
+    val rows = Experiments.topContributors(p, Map(CuisineStats.Unregioned -> 1, "ITA" -> 1))
+    assert(rows.map(_.region).distinct == Vector("ITA"))
+  }
+
+  test("foodPairing rejects nRand below 1, naming nRand") {
+    for (n <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](Experiments.foodPairing(p, nRand = n, regions = Vector("KOR")))
+      assert(e.getMessage.contains("nRand"), e.getMessage)
+    }
   }
 
   test("foodPairing emits one row per (region, model)") {

@@ -114,6 +114,25 @@ class CorpusKernelSpec extends AnyFunSuite with SparkSpec {
     assert(Experiments.topContributors(p, some) == expected.filter(r => some.contains(r.region)))
   }
 
+  test("recipes of different regions that share an id are one recipe in the WORLD sizes, as in the DataFrames") {
+    // Id 1 is in KOR and JPN, id 2 in KOR and UNREG, with a duplicate slot.
+    val rows = Seq(("KOR", 1L, 5), ("KOR", 1L, 6), ("JPN", 1L, 6), ("JPN", 1L, 7),
+                   ("KOR", 2L, 5), ("UNREG", 2L, 8), ("UNREG", 2L, 8), ("JPN", 3L, 5))
+    val df = rows.toDF("region", "recipe_id", "ing_id")
+    val regionalDf = df.filter(col("region") =!= CuisineStats.Unregioned)
+    val k = new CorpusKernel(rows.toArray)
+    val sizes = CuisineStats.meanRecipeSize(CuisineStats.withWorld(regionalDf)).collect()
+      .map(r => r.getString(0) -> (r.getDouble(1), r.getInt(2))).toMap
+    assert(k.meanSizes.map(r => r._1 -> (r._2, r._3)).toMap == sizes)
+    assert(sizes(CuisineStats.World) == ((3.0 + 1.0 + 1.0) / 3, 3))
+    val hist = CuisineStats.sizeDistribution(df.withColumn("region", lit(CuisineStats.World))).collect()
+      .map(r => r.getInt(1) -> r.getLong(2)).toMap
+    assert(k.sizeHistogram.toMap == hist && hist == Map(1 -> 1L, 2 -> 1L, 3 -> 1L))
+    val table1 = CuisineStats.table1(df).collect().map(r => (r.getString(0), r.getLong(1), r.getLong(2)))
+    assert(k.table1.sorted == table1.toVector.sorted)
+    assert(k.recipes("KOR").map(_.toSeq).toSeq == Seq(Seq(5, 6), Seq(5)))
+  }
+
   test("popularitySlopes rejects a region with one distinct ingredient, naming it, as the DataFrame path fails") {
     val tiny = p.copy(recipes = Seq(("KOR", 1L, 5), ("KOR", 2L, 5), ("KOR", 2L, 5),
                                     ("JPN", 3L, 1), ("JPN", 3L, 2), ("JPN", 4L, 2))
